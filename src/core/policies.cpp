@@ -1,6 +1,7 @@
 #include "core/policies.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 
 #include "common/error.hpp"
@@ -207,6 +208,7 @@ PolicySpec PolicySpec::parse(const std::string& text) {
     } catch (const std::out_of_range&) {
         throw Error("policy '" + text + "': parameter out of range");
     }
+    check(std::isfinite(param), "policy '" + text + "': parameter must be finite");
     if (spec.kind == PolicyKind::kApproxLut) {
         check(param > 0 && param <= 1.0,
               "policy '" + text + "': approx-lut scale must be in (0, 1]");

@@ -190,10 +190,10 @@ struct PolicySpec {
     /// from the kind's default — "approx-lut:0.8", "dual-cycle:3".
     std::string label() const;
 
-    /// Inverse of label(). Validates at parse time: approx-lut scale must
-    /// be in (0, 1], dual-cycle stretch >= 1, and no other kind accepts a
-    /// parameter; violations throw focs::Error (a usage error — the CLI
-    /// reports it and exits 1).
+    /// Inverse of label(). Validates at parse time: the parameter must be
+    /// finite, approx-lut scale in (0, 1], dual-cycle stretch >= 1, and no
+    /// other kind accepts a parameter; violations throw focs::Error (a
+    /// usage error — the CLI reports it and exits 1).
     static PolicySpec parse(const std::string& text);
 
     friend bool operator==(const PolicySpec&, const PolicySpec&) = default;

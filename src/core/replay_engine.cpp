@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <functional>
 #include <utility>
 
 #include "common/error.hpp"
@@ -11,7 +10,6 @@
 
 namespace focs::core {
 
-using dta::OccKey;
 using sim::Stage;
 
 ReplayEvaluationEngine::ReplayEvaluationEngine(const sim::PipelineTrace& trace,
@@ -23,613 +21,135 @@ ReplayEvaluationEngine::ReplayEvaluationEngine(const sim::PipelineTrace& trace,
     check(delays_.unit != nullptr, "replay engine needs a unit trace-delay artifact");
     check(delays_.cycles() == trace.cycles(),
           "trace delays were computed from a different trace (cycle count mismatch)");
-    if (!options_.force_scalar) {
-        kernels_ = simd_replay_kernels();
-        if (kernels_ == nullptr) kernels_ = &scalar_replay_kernels();
-        fx_ = timing::FixedPointPeriod::resolve(delays_);
-        for (int s = 0; s < sim::kStageCount; ++s) {
-            for (OccKey key = 0; key < dta::kKeyCount; ++key) {
-                effective_rows_[static_cast<std::size_t>(s)][static_cast<std::size_t>(key)] =
-                    table.effective(key, static_cast<Stage>(s));
-            }
-        }
-    }
+    const ReplayKernels* simd = options_.force_scalar ? nullptr : simd_replay_kernels();
+    kernels_ = simd != nullptr ? simd : &scalar_replay_kernels();
 }
 
-std::size_t ReplayEvaluationEngine::scratch_cycles() const {
-    return std::min<std::size_t>(static_cast<std::size_t>(options_.block_cycles),
-                                 std::max<std::size_t>(trace_->records.size(), 1));
-}
-
-/// Shared block loop: `fill(begin, end, out)` writes the requested period
-/// of cycles [begin, end) into out[0..end-begin); the grant/integrate/
-/// safety pass then consumes the block in exactly the live engine's
-/// per-cycle order, so the integrated time and violation figures are
-/// bit-identical at every block size. With the ideal generator the pass is
-/// a block reduction through the kernel table (SIMD when available); with
-/// a stateful generator it stays a sequential walk, reading the required
-/// period from the fixed-point evaluator when one resolved. Either way the
-/// required period is the same fl(unit * scale) double the live calculator
-/// produces (positive-constant multiplication is monotone under IEEE
-/// rounding, so it commutes with the per-stage max; the fixed-point path
-/// reproduces the multiply bit for bit — see FixedPointPeriod).
-///
-/// kObs=false is the exact pre-observability loop (no flag checks inside);
-/// kObs=true layers counters, a granted-period histogram and a per-run
-/// span on top. Both instantiations produce identical DcaRunResults — the
-/// instrumentation only ever reads the loop's values.
-template <bool kObs, typename FillBlock>
-DcaRunResult ReplayEvaluationEngine::replay_blocks_impl(const ClockPolicy& policy,
-                                                        clocking::ClockGenerator* generator,
-                                                        FillBlock&& fill,
-                                                        const GatherStage* gather_stages,
-                                                        int gather_stage_count) const {
-    const double* unit = delays_.unit->unit_required_period_ps.data();
-    const double scale = delays_.delay_scale;
-    const std::size_t cycles = trace_->records.size();
-    const std::size_t block = static_cast<std::size_t>(options_.block_cycles);
-    std::vector<double> requested(scratch_cycles());
-    // Fixed-point required-period evaluator for the sequential generator
-    // walk (bit-exact vs unit[c] * scale — see FixedPointPeriod); nullptr
-    // on the reference path or when the view did not resolve.
-    const timing::FixedPointPeriod* fx = fx_.has_value() ? &*fx_ : nullptr;
-
-#ifndef FOCS_OBS_COMPILE_OUT
-    obs::Span span;
-    if constexpr (kObs) {
-        span = obs::global_tracer().span("replay.run");
-        span.arg("policy", policy.name()).arg("cycles", static_cast<std::int64_t>(cycles));
-    }
-#endif
-
-    if (generator != nullptr) generator->reset();
-    double total_time_ps = 0;
-    std::uint64_t violations = 0;
-    double worst_violation_ps = 0;
-    [[maybe_unused]] std::uint64_t blocks = 0;
-    for (std::size_t begin = 0; begin < cycles; begin += block) {
-        // Block-boundary cancellation check; the cycle loop below stays
-        // token-free (see the cost note on ReplayOptions::cancel).
-        if (options_.cancel != nullptr) options_.cancel->throw_if_cancelled();
-        const std::size_t end = std::min(cycles, begin + block);
-        if (generator == nullptr && kernels_ != nullptr && gather_stages != nullptr) {
-            // Ideal generator over a pure-gather fill: the fused kernel
-            // gathers, integrates (strict cycle order) and safety-checks
-            // in one pass — no scratch round-trip, and the independent
-            // gather chains overlap the serial time-integral adds.
-            kernels_->gather_reduce_ideal(gather_stages, gather_stage_count, unit, scale,
-                                          kViolationTolerancePs, begin, end - begin,
-                                          &total_time_ps, &violations, &worst_violation_ps);
-            if constexpr (kObs) ++blocks;
-            continue;
-        }
-        fill(begin, end, requested.data());
-        if (generator == nullptr && kernels_ != nullptr) {
-            // Ideal generator (granted == requested): the whole grant/
-            // integrate/safety pass is a block reduction — vectorizable
-            // except for the order-sensitive time integral, which the
-            // kernel sums in strict cycle order.
-            kernels_->reduce_ideal(requested.data(), unit, scale, kViolationTolerancePs, begin,
-                                   end - begin, &total_time_ps, &violations,
-                                   &worst_violation_ps);
-        } else if (generator != nullptr && fx != nullptr) {
-            // Stateful generator: sequential walk, required period from
-            // the integer mult+shift path.
-            for (std::size_t c = begin; c < end; ++c) {
-                const double granted = generator->grant_period_ps(requested[c - begin]);
-                total_time_ps += granted;
-                const double required = (*fx)(c);
-                if (granted + kViolationTolerancePs < required) {
-                    ++violations;
-                    worst_violation_ps = std::max(worst_violation_ps, required - granted);
-                }
-            }
-        } else {
-            // Reference walk (force_scalar, or an unresolvable fixed-point
-            // view): the exact pre-kernel per-cycle loop.
-            for (std::size_t c = begin; c < end; ++c) {
-                const double request = requested[c - begin];
-                const double granted =
-                    generator != nullptr ? generator->grant_period_ps(request) : request;
-                total_time_ps += granted;
-                const double required = unit[c] * scale;
-                if (granted + kViolationTolerancePs < required) {
-                    ++violations;
-                    worst_violation_ps = std::max(worst_violation_ps, required - granted);
-                }
-            }
-        }
-        if constexpr (kObs) ++blocks;
-    }
-
-#ifndef FOCS_OBS_COMPILE_OUT
-    if constexpr (kObs) {
-        obs::MetricsRegistry& metrics = obs::global_metrics();
-        static const struct Ids {
-            obs::MetricsRegistry::Id runs, blocks, cycles, violations, avg_period;
-            explicit Ids(obs::MetricsRegistry& m)
-                : runs(m.counter("replay.runs")),
-                  blocks(m.counter("replay.blocks")),
-                  cycles(m.counter("replay.cycles")),
-                  violations(m.counter("replay.violations")),
-                  avg_period(m.histogram("replay.avg_period_ps",
-                                         {100, 150, 200, 300, 400, 500, 700, 1000, 1500, 2000,
-                                          3000, 5000})) {}
-        } ids(metrics);
-        metrics.add(ids.runs);
-        metrics.add(ids.blocks, blocks);
-        metrics.add(ids.cycles, cycles);
-        metrics.add(ids.violations, violations);
-        if (cycles > 0) {
-            metrics.observe(ids.avg_period, total_time_ps / static_cast<double>(cycles));
-        }
-        span.arg("blocks", static_cast<std::int64_t>(blocks))
-            .arg("violations", static_cast<std::int64_t>(violations));
-    }
-#endif
-
-    DcaRunResult result = finish_run(
-        policy.name(),
-        generator != nullptr ? generator->name() : clocking::IdealClockGenerator().name(),
-        cycles, total_time_ps, delays_.static_period_ps, violations, worst_violation_ps);
-    result.guest = trace_->guest;
-    return result;
-}
-
-template <typename FillBlock>
-DcaRunResult ReplayEvaluationEngine::replay_blocks(const ClockPolicy& policy,
-                                                   clocking::ClockGenerator* generator,
-                                                   FillBlock&& fill,
-                                                   const GatherStage* gather_stages,
-                                                   int gather_stage_count) const {
-#ifdef FOCS_OBS_COMPILE_OUT
-    return replay_blocks_impl<false>(policy, generator, std::forward<FillBlock>(fill),
-                                     gather_stages, gather_stage_count);
-#else
-    bool instrumented = false;
-    switch (options_.obs) {
-        case ReplayObsMode::kAuto:
-            instrumented = obs::global_metrics().enabled() || obs::global_tracer().enabled();
-            break;
-        case ReplayObsMode::kForceOff: instrumented = false; break;
-        case ReplayObsMode::kForceOn: instrumented = true; break;
-    }
-    return instrumented
-               ? replay_blocks_impl<true>(policy, generator, std::forward<FillBlock>(fill),
-                                          gather_stages, gather_stage_count)
-               : replay_blocks_impl<false>(policy, generator, std::forward<FillBlock>(fill),
-                                           gather_stages, gather_stage_count);
-#endif
-}
-
-DcaRunResult ReplayEvaluationEngine::replay_class_select(const ClockPolicy& policy,
-                                                         clocking::ClockGenerator* generator,
-                                                         double fast_period_ps,
-                                                         double slow_period_ps) const {
-    const dta::DelayTable& table = *table_;
+ReplayEvaluationEngine::BlockFill ReplayEvaluationEngine::make_fill(
+    const PolicySpec& spec, const ClockPolicy& policy) const {
+    const ReplayKernels& kernels = *kernels_;
     const auto& keys = trace_->stage_keys;
-    if (kernels_ != nullptr && slow_period_ps >= fast_period_ps && fast_period_ps >= 0.0) {
-        // Branch-free mask kernel: per-stage select rows (slow-or-
-        // uncharacterized ? slow : fast), then the shared gather/max fill.
-        // Because slow >= fast >= 0, "max over per-stage selects" equals
-        // "any stage slow ? slow : fast" exactly — no bitmap, no byte
-        // scratch, no per-cycle branch. (Both class policies satisfy the
-        // guard by construction; it protects hypothetical period choices.)
-        std::array<std::array<double, dta::kKeyCount>, sim::kStageCount> select{};
-        std::array<GatherStage, sim::kStageCount> stages{};
-        for (int s = 0; s < sim::kStageCount; ++s) {
-            for (OccKey key = 0; key < dta::kKeyCount; ++key) {
-                const bool slow = TwoClassPolicy::is_slow_key(key) ||
-                                  !table.characterized(key, static_cast<Stage>(s));
-                select[static_cast<std::size_t>(s)][static_cast<std::size_t>(key)] =
-                    slow ? slow_period_ps : fast_period_ps;
-            }
-            stages[static_cast<std::size_t>(s)] = {
-                keys[static_cast<std::size_t>(s)].data(),
-                select[static_cast<std::size_t>(s)].data()};
-        }
-        return replay_blocks(policy, generator,
-                             [&](std::size_t begin, std::size_t end, double* out) {
-                                 kernels_->gather_max(stages.data(), sim::kStageCount, begin,
-                                                      end - begin, out);
-                             },
-                             stages.data(), sim::kStageCount);
-    }
-    // Reference path: per-(key, stage) "forces the slow period" bitmap,
-    // hoisted out of the cycle loop: critical class or uncharacterized
-    // entry.
-    std::array<std::array<bool, sim::kStageCount>, dta::kKeyCount> slow{};
-    for (OccKey key = 0; key < dta::kKeyCount; ++key) {
-        for (int s = 0; s < sim::kStageCount; ++s) {
-            slow[static_cast<std::size_t>(key)][static_cast<std::size_t>(s)] =
-                TwoClassPolicy::is_slow_key(key) ||
-                !table.characterized(key, static_cast<Stage>(s));
-        }
-    }
-    // Block-sized scratch, reused across blocks (the same sizing rule as
-    // the requested-period buffer).
-    std::vector<char> any_slow(scratch_cycles());
-    return replay_blocks(
-        policy, generator, [&](std::size_t begin, std::size_t end, double* out) {
-            const std::size_t count = end - begin;
-            // Stage-major OR-reduction of the slow bits, then one select
-            // pass.
-            std::fill(any_slow.begin(), any_slow.begin() + static_cast<std::ptrdiff_t>(count), 0);
-            for (int s = 0; s < sim::kStageCount; ++s) {
-                const OccKey* row = keys[static_cast<std::size_t>(s)].data() + begin;
-                for (std::size_t i = 0; i < count; ++i) {
-                    any_slow[i] |= static_cast<char>(
-                        slow[static_cast<std::size_t>(row[i])]
-                            [static_cast<std::size_t>(s)]);
-                }
-            }
-            for (std::size_t i = 0; i < count; ++i) {
-                out[i] = any_slow[i] != 0 ? slow_period_ps : fast_period_ps;
-            }
-        });
-}
-
-DcaRunResult ReplayEvaluationEngine::run(const PolicySpec& spec,
-                                         clocking::ClockGenerator* generator) const {
-    // The policy object supplies the exact name string and the derived
-    // constants (ex-only floor, class fast periods, approx scale, dual-
-    // cycle stretch) of the live path; its virtual request hook is never
-    // called — the kernels below are the devirtualized equivalents over
-    // the trace's SoA rows.
-    const auto policy = make_policy(spec, *table_, delays_.static_period_ps);
-    const PolicyKind kind = spec.kind;
     const dta::DelayTable& table = *table_;
-    const auto& keys = trace_->stage_keys;
-
-    // Kernel-table gather descriptors over the stage-major transposed
-    // effective rows (built at construction); unused on the reference path.
-    std::array<GatherStage, sim::kStageCount> lut_stages{};
-    if (kernels_ != nullptr) {
-        for (int s = 0; s < sim::kStageCount; ++s) {
-            lut_stages[static_cast<std::size_t>(s)] = {
-                keys[static_cast<std::size_t>(s)].data(),
-                effective_rows_[static_cast<std::size_t>(s)].data()};
-        }
+    // Paper eq. 2: the per-cycle max over every stage's fallback-resolved
+    // LUT row, gathered by that stage's occupancy keys.
+    std::array<GatherStage, sim::kStageCount> lut{};
+    for (std::size_t s = 0; s < lut.size(); ++s) {
+        lut[s] = {keys[s].data(), table.effective_row(static_cast<Stage>(s))};
     }
-    // Stage-major SoA max (paper eq. 2) through the kernel table: one
-    // gather/max pass per stage over the block's key row. Shared by the
-    // lut kernel and (with a trailing compression multiply) the approx-lut
-    // kernel.
-    const auto fill_lut_kernel = [&](std::size_t begin, std::size_t end, double* out) {
-        kernels_->gather_max(lut_stages.data(), sim::kStageCount, begin, end - begin, out);
-    };
-    // Reference shape of the same fill: one plain indexed-load pass per
-    // stage, maxing the fallback-resolved entries in place.
-    const auto fill_lut_max = [&](std::size_t begin, std::size_t end, double* out) {
-        const std::size_t count = end - begin;
-        std::fill(out, out + count, 0.0);
-        for (int s = 0; s < sim::kStageCount; ++s) {
-            const OccKey* row = keys[static_cast<std::size_t>(s)].data() + begin;
-            for (std::size_t i = 0; i < count; ++i) {
-                const double d = table.effective(row[i], static_cast<Stage>(s));
-                if (d > out[i]) out[i] = d;
-            }
-        }
-    };
 
-    switch (kind) {
-        case PolicyKind::kStatic: {
-            const double period = delays_.static_period_ps;
-            return replay_blocks(*policy, generator,
-                                 [&](std::size_t begin, std::size_t end, double* out) {
-                                     std::fill(out, out + (end - begin), period);
-                                 });
-        }
-        case PolicyKind::kGenie: {
-            // The oracle requests exactly the cycle requirement: the unit
-            // row scaled to the operating point.
-            const double* unit = delays_.unit->unit_required_period_ps.data();
-            const double scale = delays_.delay_scale;
-            if (kernels_ != nullptr) {
-                return replay_blocks(*policy, generator,
-                                     [&](std::size_t begin, std::size_t end, double* out) {
-                                         kernels_->scale(unit + begin, scale, end - begin, out);
-                                     });
-            }
-            return replay_blocks(*policy, generator,
-                                 [&](std::size_t begin, std::size_t end, double* out) {
-                                     for (std::size_t c = begin; c < end; ++c) {
-                                         out[c - begin] = unit[c] * scale;
-                                     }
-                                 });
-        }
+    switch (spec.kind) {
+        case PolicyKind::kStatic:
+            return [period = delays_.static_period_ps](std::size_t, std::size_t count,
+                                                       double* out) {
+                std::fill(out, out + count, period);
+            };
+        case PolicyKind::kGenie:
+            // The oracle requests exactly each cycle's requirement.
+            return [&kernels, unit = delays_.unit->unit_required_period_ps.data(),
+                    scale = delays_.delay_scale](std::size_t begin, std::size_t count,
+                                                 double* out) {
+                kernels.scale(unit + begin, scale, count, out);
+            };
         case PolicyKind::kInstructionLut:
-            if (kernels_ != nullptr) {
-                return replay_blocks(*policy, generator, fill_lut_kernel, lut_stages.data(),
-                                     sim::kStageCount);
-            }
-            return replay_blocks(*policy, generator, fill_lut_max);
-        case PolicyKind::kApproxLut: {
-            const auto* approx = dynamic_cast<const ApproximateLutPolicy*>(policy.get());
-            check(approx != nullptr, "approx-lut policy kind produced an unexpected type");
-            const double approx_scale = approx->scale();
-            // The LUT max pass, then one compression multiply per cycle —
-            // the same fl order as the live cycle_period_ps(record) * scale.
-            if (kernels_ != nullptr) {
-                return replay_blocks(
-                    *policy, generator, [&](std::size_t begin, std::size_t end, double* out) {
-                        fill_lut_kernel(begin, end, out);
-                        kernels_->scale(out, approx_scale, end - begin, out);
-                    });
-            }
-            return replay_blocks(
-                *policy, generator, [&](std::size_t begin, std::size_t end, double* out) {
-                    fill_lut_max(begin, end, out);
-                    for (std::size_t i = 0; i < end - begin; ++i) out[i] *= approx_scale;
-                });
-        }
+            return [&kernels, lut](std::size_t begin, std::size_t count, double* out) {
+                kernels.gather_max(lut.data(), sim::kStageCount, begin, count, out);
+            };
+        case PolicyKind::kApproxLut:
+            // The LUT max, then one compression multiply per cycle — the
+            // live cycle_period_ps(record) * scale in the same fl order.
+            return [&kernels, lut,
+                    factor = dynamic_cast<const ApproximateLutPolicy&>(policy).scale()](
+                       std::size_t begin, std::size_t count, double* out) {
+                kernels.gather_max(lut.data(), sim::kStageCount, begin, count, out);
+                kernels.scale(out, factor, count, out);
+            };
         case PolicyKind::kExOnly: {
-            const auto* ex_only = dynamic_cast<const ExOnlyPolicy*>(policy.get());
-            check(ex_only != nullptr, "ex-only policy kind produced an unexpected policy type");
-            const double floor = ex_only->floor_ps();
-            const OccKey* ex_row = keys[static_cast<std::size_t>(Stage::kEx)].data();
-            if (kernels_ != nullptr) {
-                // Fold the floor into a single-stage value row: the fill
-                // becomes a one-stage gather/max (identical doubles — the
-                // max with the floor is precomputed per key).
-                std::array<double, dta::kKeyCount> ex_values{};
-                for (OccKey key = 0; key < dta::kKeyCount; ++key) {
-                    ex_values[static_cast<std::size_t>(key)] =
-                        std::max(table.effective(key, Stage::kEx), floor);
-                }
-                const GatherStage ex_stage{ex_row, ex_values.data()};
-                return replay_blocks(*policy, generator,
-                                     [&](std::size_t begin, std::size_t end, double* out) {
-                                         kernels_->gather_max(&ex_stage, 1, begin, end - begin,
-                                                              out);
-                                     },
-                                     &ex_stage, 1);
+            // The floor folded into the EX row: a one-stage gather over
+            // max(entry, floor), the doubles the live policy returns.
+            const double floor = dynamic_cast<const ExOnlyPolicy&>(policy).floor_ps();
+            const GatherStage ex = lut[static_cast<std::size_t>(Stage::kEx)];
+            std::array<double, dta::kKeyCount> row{};
+            for (std::size_t key = 0; key < row.size(); ++key) {
+                row[key] = std::max(ex.values[key], floor);
             }
-            return replay_blocks(*policy, generator,
-                                 [&](std::size_t begin, std::size_t end, double* out) {
-                                     for (std::size_t c = begin; c < end; ++c) {
-                                         out[c - begin] = std::max(
-                                             table.effective(ex_row[c], Stage::kEx), floor);
-                                     }
-                                 });
+            return [&kernels, ex_keys = ex.keys, row](std::size_t begin, std::size_t count,
+                                                      double* out) {
+                const GatherStage stage{ex_keys, row.data()};
+                kernels.gather_max(&stage, 1, begin, count, out);
+            };
         }
-        case PolicyKind::kTwoClass: {
-            const auto* two_class = dynamic_cast<const TwoClassPolicy*>(policy.get());
-            check(two_class != nullptr, "two-class policy kind produced an unexpected type");
-            return replay_class_select(*policy, generator, two_class->fast_period_ps(),
-                                       table.static_period_ps());
-        }
+        case PolicyKind::kTwoClass:
         case PolicyKind::kDualCycle: {
-            const auto* dual = dynamic_cast<const DualCyclePolicy*>(policy.get());
-            check(dual != nullptr, "dual-cycle policy kind produced an unexpected type");
-            const double fast = dual->fast_period_ps();
-            return replay_class_select(*policy, generator, fast, dual->stretch() * fast);
+            double fast_ps = 0;
+            double slow_ps = 0;
+            if (spec.kind == PolicyKind::kTwoClass) {
+                fast_ps = dynamic_cast<const TwoClassPolicy&>(policy).fast_period_ps();
+                slow_ps = table.static_period_ps();
+            } else {
+                const auto& dual = dynamic_cast<const DualCyclePolicy&>(policy);
+                fast_ps = dual.fast_period_ps();
+                slow_ps = dual.stretch() * fast_ps;
+            }
+            // A stage forces the slow period when its instruction is in the
+            // critical class or its entry is uncharacterized. The gather
+            // over 0/1 indicator rows marks each cycle where any stage
+            // does, and one select pass picks the period — exact for any
+            // fast/slow pair, including legacy tables whose fast period
+            // exceeds the static one.
+            std::array<std::array<double, dta::kKeyCount>, sim::kStageCount> slow_rows{};
+            for (std::size_t s = 0; s < slow_rows.size(); ++s) {
+                for (std::size_t key = 0; key < slow_rows[s].size(); ++key) {
+                    const auto occ = static_cast<dta::OccKey>(key);
+                    const bool slow = TwoClassPolicy::is_slow_key(occ) ||
+                                      !table.characterized(occ, static_cast<Stage>(s));
+                    slow_rows[s][key] = slow ? 1.0 : 0.0;
+                }
+            }
+            return [&kernels, &keys, slow_rows, fast_ps, slow_ps](
+                       std::size_t begin, std::size_t count, double* out) {
+                std::array<GatherStage, sim::kStageCount> stages{};
+                for (std::size_t s = 0; s < stages.size(); ++s) {
+                    stages[s] = {keys[s].data(), slow_rows[s].data()};
+                }
+                kernels.gather_max(stages.data(), sim::kStageCount, begin, count, out);
+                for (std::size_t i = 0; i < count; ++i) {
+                    out[i] = out[i] != 0.0 ? slow_ps : fast_ps;
+                }
+            };
         }
     }
     check(false, "unknown policy kind");
     return {};
 }
 
-std::vector<DcaRunResult> ReplayEvaluationEngine::run_batch(
-    const std::vector<ReplayRequest>& requests) const {
-    std::vector<DcaRunResult> results;
-    results.reserve(requests.size());
-    // Fuse runs of consecutive requests that share a policy: their request
-    // arrays are identical, so one block fill serves the whole run.
-    std::size_t begin = 0;
-    while (begin < requests.size()) {
-        std::size_t end = begin + 1;
-        while (end < requests.size() && requests[end].policy == requests[begin].policy) ++end;
-        std::vector<clocking::ClockGenerator*> generators;
-        generators.reserve(end - begin);
-        for (std::size_t i = begin; i < end; ++i) generators.push_back(requests[i].generator);
-        auto fused = run_fused(requests[begin].policy, generators);
-        for (auto& result : fused) results.push_back(std::move(result));
-        begin = end;
-    }
-    return results;
-}
-
 std::vector<DcaRunResult> ReplayEvaluationEngine::run_fused(
     const PolicySpec& spec, const std::vector<clocking::ClockGenerator*>& generators) const {
     if (generators.empty()) return {};
-    if (generators.size() == 1) return {run(spec, generators[0])};
-
+    // The policy object supplies the exact name string and derived
+    // constants of the live path; its virtual request hook is never called.
     const auto policy = make_policy(spec, *table_, delays_.static_period_ps);
-    const dta::DelayTable& table = *table_;
-    const auto& keys = trace_->stage_keys;
-    const double* unit = delays_.unit->unit_required_period_ps.data();
-    const double scale = delays_.delay_scale;
+    const BlockFill fill = make_fill(spec, *policy);
 
-    // --- Requested-period fill of this policy, type-erased: exactly the
-    // fills run() builds, but one closure now serves every variant, so the
-    // per-block gather/max (or select/scale) pass is paid once per column
-    // instead of once per cell. Value rows referenced by the closure are
-    // owned by the locals below and outlive the block loop.
-    std::array<GatherStage, sim::kStageCount> lut_stages{};
-    if (kernels_ != nullptr) {
-        for (int s = 0; s < sim::kStageCount; ++s) {
-            lut_stages[static_cast<std::size_t>(s)] = {
-                keys[static_cast<std::size_t>(s)].data(),
-                effective_rows_[static_cast<std::size_t>(s)].data()};
-        }
-    }
-    std::array<double, dta::kKeyCount> ex_values{};
-    GatherStage ex_stage{};
-    std::array<std::array<double, dta::kKeyCount>, sim::kStageCount> select{};
-    std::array<GatherStage, sim::kStageCount> select_stages{};
-    std::array<std::array<bool, sim::kStageCount>, dta::kKeyCount> slow_map{};
-    std::vector<char> any_slow;
-
-    const auto fill_lut_max = [&](std::size_t begin, std::size_t end, double* out) {
-        const std::size_t count = end - begin;
-        std::fill(out, out + count, 0.0);
-        for (int s = 0; s < sim::kStageCount; ++s) {
-            const OccKey* row = keys[static_cast<std::size_t>(s)].data() + begin;
-            for (std::size_t i = 0; i < count; ++i) {
-                const double d = table.effective(row[i], static_cast<Stage>(s));
-                if (d > out[i]) out[i] = d;
-            }
-        }
-    };
-    // Class-select fill shared by two-class and dual-cycle: the same
-    // branch-free mask kernel / hoisted-bitmap pair replay_class_select
-    // uses, with identical guards, so fused figures match per-variant runs
-    // bit for bit.
-    const auto make_class_select_fill =
-        [&](double fast_period_ps,
-            double slow_period_ps) -> std::function<void(std::size_t, std::size_t, double*)> {
-        if (kernels_ != nullptr && slow_period_ps >= fast_period_ps && fast_period_ps >= 0.0) {
-            for (int s = 0; s < sim::kStageCount; ++s) {
-                for (OccKey key = 0; key < dta::kKeyCount; ++key) {
-                    const bool slow = TwoClassPolicy::is_slow_key(key) ||
-                                      !table.characterized(key, static_cast<Stage>(s));
-                    select[static_cast<std::size_t>(s)][static_cast<std::size_t>(key)] =
-                        slow ? slow_period_ps : fast_period_ps;
-                }
-                select_stages[static_cast<std::size_t>(s)] = {
-                    keys[static_cast<std::size_t>(s)].data(),
-                    select[static_cast<std::size_t>(s)].data()};
-            }
-            return [&](std::size_t begin, std::size_t end, double* out) {
-                kernels_->gather_max(select_stages.data(), sim::kStageCount, begin, end - begin,
-                                     out);
-            };
-        }
-        for (OccKey key = 0; key < dta::kKeyCount; ++key) {
-            for (int s = 0; s < sim::kStageCount; ++s) {
-                slow_map[static_cast<std::size_t>(key)][static_cast<std::size_t>(s)] =
-                    TwoClassPolicy::is_slow_key(key) ||
-                    !table.characterized(key, static_cast<Stage>(s));
-            }
-        }
-        any_slow.assign(scratch_cycles(), 0);
-        return [&, fast_period_ps, slow_period_ps](std::size_t begin, std::size_t end,
-                                                   double* out) {
-            const std::size_t count = end - begin;
-            std::fill(any_slow.begin(), any_slow.begin() + static_cast<std::ptrdiff_t>(count),
-                      0);
-            for (int s = 0; s < sim::kStageCount; ++s) {
-                const OccKey* row = keys[static_cast<std::size_t>(s)].data() + begin;
-                for (std::size_t i = 0; i < count; ++i) {
-                    any_slow[i] |= static_cast<char>(
-                        slow_map[static_cast<std::size_t>(row[i])][static_cast<std::size_t>(s)]);
-                }
-            }
-            for (std::size_t i = 0; i < count; ++i) {
-                out[i] = any_slow[i] != 0 ? slow_period_ps : fast_period_ps;
-            }
-        };
-    };
-
-    std::function<void(std::size_t, std::size_t, double*)> fill;
-    switch (spec.kind) {
-        case PolicyKind::kStatic: {
-            const double period = delays_.static_period_ps;
-            fill = [period](std::size_t begin, std::size_t end, double* out) {
-                std::fill(out, out + (end - begin), period);
-            };
-            break;
-        }
-        case PolicyKind::kGenie:
-            if (kernels_ != nullptr) {
-                fill = [&](std::size_t begin, std::size_t end, double* out) {
-                    kernels_->scale(unit + begin, scale, end - begin, out);
-                };
-            } else {
-                fill = [&](std::size_t begin, std::size_t end, double* out) {
-                    for (std::size_t c = begin; c < end; ++c) out[c - begin] = unit[c] * scale;
-                };
-            }
-            break;
-        case PolicyKind::kInstructionLut:
-            if (kernels_ != nullptr) {
-                fill = [&](std::size_t begin, std::size_t end, double* out) {
-                    kernels_->gather_max(lut_stages.data(), sim::kStageCount, begin, end - begin,
-                                         out);
-                };
-            } else {
-                fill = fill_lut_max;
-            }
-            break;
-        case PolicyKind::kApproxLut: {
-            const auto* approx = dynamic_cast<const ApproximateLutPolicy*>(policy.get());
-            check(approx != nullptr, "approx-lut policy kind produced an unexpected type");
-            const double approx_scale = approx->scale();
-            if (kernels_ != nullptr) {
-                fill = [&, approx_scale](std::size_t begin, std::size_t end, double* out) {
-                    kernels_->gather_max(lut_stages.data(), sim::kStageCount, begin, end - begin,
-                                         out);
-                    kernels_->scale(out, approx_scale, end - begin, out);
-                };
-            } else {
-                fill = [&, approx_scale](std::size_t begin, std::size_t end, double* out) {
-                    fill_lut_max(begin, end, out);
-                    for (std::size_t i = 0; i < end - begin; ++i) out[i] *= approx_scale;
-                };
-            }
-            break;
-        }
-        case PolicyKind::kExOnly: {
-            const auto* ex_only = dynamic_cast<const ExOnlyPolicy*>(policy.get());
-            check(ex_only != nullptr, "ex-only policy kind produced an unexpected policy type");
-            const double floor = ex_only->floor_ps();
-            const OccKey* ex_row = keys[static_cast<std::size_t>(Stage::kEx)].data();
-            if (kernels_ != nullptr) {
-                for (OccKey key = 0; key < dta::kKeyCount; ++key) {
-                    ex_values[static_cast<std::size_t>(key)] =
-                        std::max(table.effective(key, Stage::kEx), floor);
-                }
-                ex_stage = {ex_row, ex_values.data()};
-                fill = [&](std::size_t begin, std::size_t end, double* out) {
-                    kernels_->gather_max(&ex_stage, 1, begin, end - begin, out);
-                };
-            } else {
-                fill = [&, floor, ex_row](std::size_t begin, std::size_t end, double* out) {
-                    for (std::size_t c = begin; c < end; ++c) {
-                        out[c - begin] = std::max(table.effective(ex_row[c], Stage::kEx), floor);
-                    }
-                };
-            }
-            break;
-        }
-        case PolicyKind::kTwoClass: {
-            const auto* two_class = dynamic_cast<const TwoClassPolicy*>(policy.get());
-            check(two_class != nullptr, "two-class policy kind produced an unexpected type");
-            fill = make_class_select_fill(two_class->fast_period_ps(), table.static_period_ps());
-            break;
-        }
-        case PolicyKind::kDualCycle: {
-            const auto* dual = dynamic_cast<const DualCyclePolicy*>(policy.get());
-            check(dual != nullptr, "dual-cycle policy kind produced an unexpected type");
-            const double fast = dual->fast_period_ps();
-            fill = make_class_select_fill(fast, dual->stretch() * fast);
-            break;
-        }
-    }
-    check(fill != nullptr, "unknown policy kind");
-
-    // --- One block loop, G variant walks per filled block. Each variant
-    // keeps private accumulator state and consumes the shared block in the
-    // live engine's per-cycle order, so every variant's figures are bit-
-    // identical to its own run() call.
-    struct VariantState {
+    struct Variant {
         clocking::ClockGenerator* generator;
         double total_time_ps = 0;
         std::uint64_t violations = 0;
         double worst_violation_ps = 0;
     };
-    std::vector<VariantState> variants;
+    std::vector<Variant> variants;
     variants.reserve(generators.size());
     for (clocking::ClockGenerator* generator : generators) {
         if (generator != nullptr) generator->reset();
-        variants.push_back(VariantState{generator});
+        variants.push_back(Variant{generator});
     }
 
+    const double* unit = delays_.unit->unit_required_period_ps.data();
+    const double scale = delays_.delay_scale;
     const std::size_t cycles = trace_->records.size();
     const std::size_t block = static_cast<std::size_t>(options_.block_cycles);
-    std::vector<double> requested(scratch_cycles());
-    const timing::FixedPointPeriod* fx = fx_.has_value() ? &*fx_ : nullptr;
+    // One block of scratch, clamped to the trace length; never empty, so
+    // data() stays dereferenceable on empty traces.
+    std::vector<double> requested(std::min(block, std::max<std::size_t>(cycles, 1)));
 
 #ifndef FOCS_OBS_COMPILE_OUT
     bool instrumented = false;
@@ -651,44 +171,39 @@ std::vector<DcaRunResult> ReplayEvaluationEngine::run_fused(
 
     [[maybe_unused]] std::uint64_t blocks = 0;
     for (std::size_t begin = 0; begin < cycles; begin += block) {
+        // Block-boundary cancellation check; the cycle loops stay
+        // token-free (see the cost note on ReplayOptions::cancel).
         if (options_.cancel != nullptr) options_.cancel->throw_if_cancelled();
-        const std::size_t end = std::min(cycles, begin + block);
-        fill(begin, end, requested.data());
+        const std::size_t count = std::min(block, cycles - begin);
+        fill(begin, count, requested.data());
         ++blocks;
-        for (VariantState& variant : variants) {
-            if (variant.generator == nullptr && kernels_ != nullptr) {
-                // Ideal variant: the whole grant/integrate/safety pass is a
-                // block reduction over the shared request array.
-                kernels_->reduce_ideal(requested.data(), unit, scale, kViolationTolerancePs,
-                                       begin, end - begin, &variant.total_time_ps,
-                                       &variant.violations, &variant.worst_violation_ps);
-            } else if (variant.generator != nullptr && fx != nullptr) {
-                for (std::size_t c = begin; c < end; ++c) {
-                    const double granted =
-                        variant.generator->grant_period_ps(requested[c - begin]);
-                    variant.total_time_ps += granted;
-                    const double required = (*fx)(c);
-                    if (granted + kViolationTolerancePs < required) {
-                        ++variant.violations;
-                        variant.worst_violation_ps =
-                            std::max(variant.worst_violation_ps, required - granted);
-                    }
-                }
-            } else {
-                for (std::size_t c = begin; c < end; ++c) {
-                    const double request = requested[c - begin];
-                    const double granted = variant.generator != nullptr
-                                               ? variant.generator->grant_period_ps(request)
-                                               : request;
-                    variant.total_time_ps += granted;
-                    const double required = unit[c] * scale;
-                    if (granted + kViolationTolerancePs < required) {
-                        ++variant.violations;
-                        variant.worst_violation_ps =
-                            std::max(variant.worst_violation_ps, required - granted);
-                    }
+        for (Variant& variant : variants) {
+            if (variant.generator == nullptr) {
+                // Ideal generator (granted == requested): the grant/
+                // integrate/safety pass is a block reduction.
+                kernels_->reduce_ideal(requested.data(), unit, scale, kViolationTolerancePs, begin,
+                                       count, &variant.total_time_ps, &variant.violations,
+                                       &variant.worst_violation_ps);
+                continue;
+            }
+            // Stateful generator: a sequential walk; the accumulators are
+            // locals so they stay in registers across the virtual grant.
+            clocking::ClockGenerator& generator = *variant.generator;
+            double total_time_ps = variant.total_time_ps;
+            std::uint64_t violations = variant.violations;
+            double worst_violation_ps = variant.worst_violation_ps;
+            for (std::size_t i = 0; i < count; ++i) {
+                const double granted = generator.grant_period_ps(requested[i]);
+                total_time_ps += granted;
+                const double required = unit[begin + i] * scale;
+                if (granted + kViolationTolerancePs < required) {
+                    ++violations;
+                    worst_violation_ps = std::max(worst_violation_ps, required - granted);
                 }
             }
+            variant.total_time_ps = total_time_ps;
+            variant.violations = violations;
+            variant.worst_violation_ps = worst_violation_ps;
         }
     }
 
@@ -696,22 +211,38 @@ std::vector<DcaRunResult> ReplayEvaluationEngine::run_fused(
     if (instrumented) {
         obs::MetricsRegistry& metrics = obs::global_metrics();
         static const struct Ids {
-            obs::MetricsRegistry::Id batches, variants, blocks;
+            obs::MetricsRegistry::Id runs, variants, blocks, cycles, violations, avg_period;
             explicit Ids(obs::MetricsRegistry& m)
-                : batches(m.counter("replay.fused_batches")),
-                  variants(m.counter("replay.fused_variants")),
-                  blocks(m.counter("replay.fused_blocks")) {}
+                : runs(m.counter("replay.runs")),
+                  variants(m.counter("replay.variants")),
+                  blocks(m.counter("replay.blocks")),
+                  cycles(m.counter("replay.cycles")),
+                  violations(m.counter("replay.violations")),
+                  avg_period(m.histogram("replay.avg_period_ps",
+                                         {100, 150, 200, 300, 400, 500, 700, 1000, 1500, 2000,
+                                          3000, 5000})) {}
         } ids(metrics);
-        metrics.add(ids.batches);
+        std::uint64_t violations = 0;
+        for (const Variant& variant : variants) {
+            violations += variant.violations;
+            if (cycles > 0) {
+                metrics.observe(ids.avg_period,
+                                variant.total_time_ps / static_cast<double>(cycles));
+            }
+        }
+        metrics.add(ids.runs);
         metrics.add(ids.variants, variants.size());
         metrics.add(ids.blocks, blocks);
-        span.arg("blocks", static_cast<std::int64_t>(blocks));
+        metrics.add(ids.cycles, cycles * variants.size());
+        metrics.add(ids.violations, violations);
+        span.arg("blocks", static_cast<std::int64_t>(blocks))
+            .arg("violations", static_cast<std::int64_t>(violations));
     }
 #endif
 
     std::vector<DcaRunResult> results;
     results.reserve(variants.size());
-    for (const VariantState& variant : variants) {
+    for (const Variant& variant : variants) {
         DcaRunResult result = finish_run(
             policy->name(),
             variant.generator != nullptr ? variant.generator->name()

@@ -1,7 +1,7 @@
 // Portable scalar implementation of the replay kernel table. These loops
-// are the reference shapes: the SIMD implementations in
-// replay_kernels_simd.cpp must be elementwise byte-identical to them (see
-// the header for the argument, tests/test_replay.cpp for the proof).
+// are the oracle: the SIMD implementations in replay_kernels_simd.cpp must
+// be elementwise byte-identical to them (see the header for the argument,
+// tests/test_replay.cpp for the proof).
 #include "core/replay_kernels.hpp"
 
 #include <algorithm>
@@ -48,36 +48,10 @@ void reduce_ideal_scalar(const double* requested, const double* unit, double sca
     *worst = worst_violation_ps;
 }
 
-void gather_reduce_ideal_scalar(const GatherStage* stages, int stage_count, const double* unit,
-                                double scale, double tolerance, std::size_t begin,
-                                std::size_t count, double* total, std::uint64_t* violations,
-                                double* worst) {
-    double total_time_ps = *total;
-    std::uint64_t violation_count = *violations;
-    double worst_violation_ps = *worst;
-    for (std::size_t i = 0; i < count; ++i) {
-        double granted = 0.0;
-        for (int s = 0; s < stage_count; ++s) {
-            const double d = stages[s].values[static_cast<std::size_t>(stages[s].keys[begin + i])];
-            if (d > granted) granted = d;
-        }
-        total_time_ps += granted;
-        const double required = unit[begin + i] * scale;
-        if (granted + tolerance < required) {
-            ++violation_count;
-            worst_violation_ps = std::max(worst_violation_ps, required - granted);
-        }
-    }
-    *total = total_time_ps;
-    *violations = violation_count;
-    *worst = worst_violation_ps;
-}
-
 constexpr ReplayKernels kScalarKernels = {
     &gather_max_scalar,
     &scale_scalar,
     &reduce_ideal_scalar,
-    &gather_reduce_ideal_scalar,
     "scalar",
 };
 

@@ -1,18 +1,21 @@
 // Block-fill primitives of the replay engine, as a dispatchable kernel
-// table: one scalar implementation (the portable fallback) plus, when
-// FOCS_SIMD is compiled in and the running CPU supports it, one explicit
-// SIMD implementation (AVX2 on x86-64, NEON on aarch64).
+// table: one portable scalar implementation plus, when FOCS_SIMD is
+// compiled in and the running CPU supports it, one explicit SIMD
+// implementation (AVX2 on x86-64, NEON on aarch64). The scalar table is
+// the oracle: ReplayOptions::force_scalar selects it, and the tests diff
+// every policy kind's replay through it against the SIMD table.
 //
-// Every implementation is elementwise byte-identical to the scalar
-// reference by construction: the per-element operations are the same IEEE
-// doubles in the same per-element order (gather, multiply, compare), and
-// the only cross-element reductions — the per-cycle max over stages, the
-// violation count, and the worst-violation max — are order-free (max and
-// integer addition are associative and commutative over the NaN-free
-// inputs the engine feeds them). The one order-sensitive figure, the
-// integrated total time, is summed in strict cycle order by every
-// implementation. tests/test_replay.cpp pins the identity per policy kind,
-// block size and voltage; CI's simd-parity job byte-diffs whole sweeps.
+// Every implementation is elementwise byte-identical to the scalar table
+// by construction: the per-element operations are the same IEEE doubles in
+// the same per-element order (gather, multiply, compare), and the only
+// cross-element reductions — the per-cycle max over stages, the violation
+// count, and the worst-violation max — are order-free (max and integer
+// addition are associative and commutative over the NaN-free inputs the
+// engine feeds them). The one order-sensitive figure, the integrated total
+// time, is summed in strict cycle order by every implementation.
+// tests/test_replay.cpp pins the identity per policy kind, generator,
+// block size and voltage; CI's simd-parity job byte-diffs whole sweeps
+// against a -DFOCS_SIMD=OFF build.
 #pragma once
 
 #include <cstddef>
@@ -25,10 +28,9 @@ namespace focs::core {
 /// One stage's contribution to a gather/max fill: the stage's full-trace
 /// occupancy-key row (indexed by absolute cycle) and a kKeyCount-entry
 /// value row. The value row is what makes the kernel shared: the LUT fill
-/// gathers fallback-resolved delays, the ex-only fill a floor-folded
-/// single-stage row, and the two-class/dual-cycle mask kernel a per-stage
-/// select row (slow ? slow_period : fast_period) — turning the slow-bitmap
-/// OR-reduction into the same branch-free gather/max.
+/// gathers the delay table's fallback-resolved rows, the ex-only fill a
+/// floor-folded single-stage row, and the two-class/dual-cycle fill 0/1
+/// slow-indicator rows.
 struct GatherStage {
     const dta::OccKey* keys = nullptr;
     const double* values = nullptr;
@@ -48,28 +50,17 @@ struct ReplayKernels {
     /// (granted == requested): *total accumulates requested[i] in strict
     /// cycle order; a violation whenever fl(requested[i] + tolerance) <
     /// fl(unit[begin+i] * scale), with *worst maxed over the violating
-    /// fl(required - requested) deltas. Bitwise the same figures as the
-    /// scalar per-cycle loop at any block size.
+    /// fl(required - requested) deltas. Bitwise the same figures as a
+    /// per-cycle loop at any block size.
     void (*reduce_ideal)(const double* requested, const double* unit, double scale,
                          double tolerance, std::size_t begin, std::size_t count, double* total,
                          std::uint64_t* violations, double* worst);
-    /// Fused gather_max + reduce_ideal in one pass, for ideal-generator
-    /// blocks whose fill is a pure gather (LUT, ex-only, the two-class
-    /// mask select): per element the gathered max feeds the strict-order
-    /// total and the safety check directly, with no scratch round-trip.
-    /// Identical figures to gather_max into a buffer followed by
-    /// reduce_ideal — same per-element operations in the same order — but
-    /// the independent gather chains overlap the serial FADD chain of the
-    /// time integral instead of running as a separate memory pass.
-    void (*gather_reduce_ideal)(const GatherStage* stages, int stage_count, const double* unit,
-                                double scale, double tolerance, std::size_t begin,
-                                std::size_t count, double* total, std::uint64_t* violations,
-                                double* worst);
     /// "scalar" | "avx2" | "neon" — surfaced in the bench artifact.
     const char* name;
 };
 
-/// The portable reference-shaped table (plain loops, no intrinsics).
+/// The portable table (plain loops, no intrinsics) and the oracle the SIMD
+/// tables are diffed against.
 const ReplayKernels& scalar_replay_kernels();
 
 /// The SIMD table when FOCS_SIMD was compiled in, the target ISA has an

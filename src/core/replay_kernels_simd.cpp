@@ -11,14 +11,14 @@
 //   run time — on x86 the AVX2 table is handed out only when the running
 //     CPU reports AVX2 (__builtin_cpu_supports), so a generic binary is
 //     safe on older cores;
-//   per engine — ReplayOptions::force_scalar (CLI --no-simd) ignores this
-//     table entirely and keeps the handwritten reference path.
+//   per engine — ReplayOptions::force_scalar selects the scalar table
+//     instead, the oracle the tests diff this one against.
 //
 // Byte-identity with the scalar kernels (the contract in
 // replay_kernels.hpp) holds lane by lane: gathers read the same doubles,
 // _mm256_max_pd / vmaxq_f64 over NaN-free non-negative inputs equals the
-// reference's compare-and-replace, multiplies and the tolerance add are
-// the same IEEE ops, and the violation count / worst-delta reductions are
+// scalar compare-and-replace, multiplies and the tolerance add are the
+// same IEEE ops, and the violation count / worst-delta reductions are
 // order-free. The integrated total is summed in strict cycle order from
 // the same requested[] values the vector lanes see.
 #include "core/replay_kernels.hpp"
@@ -125,99 +125,10 @@ void reduce_ideal_avx2(const double* requested, const double* unit, double scale
     *worst = worst_violation_ps;
 }
 
-void gather_reduce_ideal_avx2(const GatherStage* stages, int stage_count, const double* unit,
-                              double scale, double tolerance, std::size_t begin,
-                              std::size_t count, double* total, std::uint64_t* violations,
-                              double* worst) {
-    double total_time_ps = *total;
-    std::uint64_t violation_count = *violations;
-    double worst_violation_ps = *worst;
-    const __m256d vscale = _mm256_set1_pd(scale);
-    const __m256d vtol = _mm256_set1_pd(tolerance);
-    __m256d vworst = _mm256_set1_pd(worst_violation_ps);
-    // Strict cycle order for the time integral: extract the lanes with
-    // register shuffles (no store/reload round-trip) and chain the adds
-    // serially — same values in the same order as the scalar reference.
-    const auto add_lanes_in_order = [&total_time_ps](__m256d v) {
-        const __m128d lo = _mm256_castpd256_pd128(v);
-        const __m128d hi = _mm256_extractf128_pd(v, 1);
-        total_time_ps += _mm_cvtsd_f64(lo);
-        total_time_ps += _mm_cvtsd_f64(_mm_unpackhi_pd(lo, lo));
-        total_time_ps += _mm_cvtsd_f64(hi);
-        total_time_ps += _mm_cvtsd_f64(_mm_unpackhi_pd(hi, hi));
-    };
-    std::size_t i = 0;
-    // 8-wide main loop (two independent accumulators): the serial add
-    // chain is the latency bound, and a deeper iteration gives the
-    // out-of-order core eight elements' worth of independent gathers,
-    // maxes and compares to retire under it.
-    for (; i + 8 <= count; i += 8) {
-        __m256d g0 = _mm256_setzero_pd();
-        __m256d g1 = _mm256_setzero_pd();
-        for (int s = 0; s < stage_count; ++s) {
-            const dta::OccKey* row = stages[s].keys + begin + i;
-            const double* values = stages[s].values;
-            g0 = _mm256_max_pd(g0, gather4_pd(values, row));
-            g1 = _mm256_max_pd(g1, gather4_pd(values, row + 4));
-        }
-        const __m256d r0 = _mm256_mul_pd(_mm256_loadu_pd(unit + begin + i), vscale);
-        const __m256d r1 = _mm256_mul_pd(_mm256_loadu_pd(unit + begin + i + 4), vscale);
-        const __m256d m0 = _mm256_cmp_pd(_mm256_add_pd(g0, vtol), r0, _CMP_LT_OQ);
-        const __m256d m1 = _mm256_cmp_pd(_mm256_add_pd(g1, vtol), r1, _CMP_LT_OQ);
-        const int bits =
-            _mm256_movemask_pd(m0) | (_mm256_movemask_pd(m1) << 4);
-        if (bits != 0) {
-            violation_count += static_cast<unsigned>(__builtin_popcount(static_cast<unsigned>(bits)));
-            vworst = _mm256_max_pd(vworst, _mm256_and_pd(m0, _mm256_sub_pd(r0, g0)));
-            vworst = _mm256_max_pd(vworst, _mm256_and_pd(m1, _mm256_sub_pd(r1, g1)));
-        }
-        add_lanes_in_order(g0);
-        add_lanes_in_order(g1);
-    }
-    for (; i + 4 <= count; i += 4) {
-        __m256d granted = _mm256_setzero_pd();
-        for (int s = 0; s < stage_count; ++s) {
-            granted =
-                _mm256_max_pd(granted, gather4_pd(stages[s].values, stages[s].keys + begin + i));
-        }
-        const __m256d required =
-            _mm256_mul_pd(_mm256_loadu_pd(unit + begin + i), vscale);
-        const __m256d mask =
-            _mm256_cmp_pd(_mm256_add_pd(granted, vtol), required, _CMP_LT_OQ);
-        const int bits = _mm256_movemask_pd(mask);
-        if (bits != 0) {
-            violation_count += static_cast<unsigned>(__builtin_popcount(static_cast<unsigned>(bits)));
-            vworst = _mm256_max_pd(
-                vworst, _mm256_and_pd(mask, _mm256_sub_pd(required, granted)));
-        }
-        add_lanes_in_order(granted);
-    }
-    alignas(32) double lanes[4];
-    _mm256_store_pd(lanes, vworst);
-    worst_violation_ps = std::max(std::max(lanes[0], lanes[1]), std::max(lanes[2], lanes[3]));
-    for (; i < count; ++i) {
-        double granted = 0.0;
-        for (int s = 0; s < stage_count; ++s) {
-            const double d = stages[s].values[static_cast<std::size_t>(stages[s].keys[begin + i])];
-            if (d > granted) granted = d;
-        }
-        total_time_ps += granted;
-        const double required = unit[begin + i] * scale;
-        if (granted + tolerance < required) {
-            ++violation_count;
-            worst_violation_ps = std::max(worst_violation_ps, required - granted);
-        }
-    }
-    *total = total_time_ps;
-    *violations = violation_count;
-    *worst = worst_violation_ps;
-}
-
 constexpr ReplayKernels kAvx2Kernels = {
     &gather_max_avx2,
     &scale_avx2,
     &reduce_ideal_avx2,
-    &gather_reduce_ideal_avx2,
     "avx2",
 };
 
@@ -311,62 +222,10 @@ void reduce_ideal_neon(const double* requested, const double* unit, double scale
     *worst = worst_violation_ps;
 }
 
-void gather_reduce_ideal_neon(const GatherStage* stages, int stage_count, const double* unit,
-                              double scale, double tolerance, std::size_t begin,
-                              std::size_t count, double* total, std::uint64_t* violations,
-                              double* worst) {
-    double total_time_ps = *total;
-    std::uint64_t violation_count = *violations;
-    double worst_violation_ps = *worst;
-    const float64x2_t vscale = vdupq_n_f64(scale);
-    const float64x2_t vtol = vdupq_n_f64(tolerance);
-    float64x2_t vworst = vdupq_n_f64(worst_violation_ps);
-    std::size_t i = 0;
-    for (; i + 2 <= count; i += 2) {
-        float64x2_t granted = vdupq_n_f64(0.0);
-        for (int s = 0; s < stage_count; ++s) {
-            const dta::OccKey* row = stages[s].keys + begin + i;
-            const double* values = stages[s].values;
-            float64x2_t v = vdupq_n_f64(values[static_cast<std::size_t>(row[0])]);
-            v = vsetq_lane_f64(values[static_cast<std::size_t>(row[1])], v, 1);
-            granted = vmaxq_f64(granted, v);
-        }
-        const float64x2_t required = vmulq_f64(vld1q_f64(unit + begin + i), vscale);
-        const uint64x2_t mask = vcltq_f64(vaddq_f64(granted, vtol), required);
-        if ((vgetq_lane_u64(mask, 0) | vgetq_lane_u64(mask, 1)) != 0) {
-            violation_count += (vgetq_lane_u64(mask, 0) >> 63) + (vgetq_lane_u64(mask, 1) >> 63);
-            const float64x2_t delta = vreinterpretq_f64_u64(
-                vandq_u64(mask, vreinterpretq_u64_f64(vsubq_f64(required, granted))));
-            vworst = vmaxq_f64(vworst, delta);
-        }
-        total_time_ps += vgetq_lane_f64(granted, 0);
-        total_time_ps += vgetq_lane_f64(granted, 1);
-    }
-    worst_violation_ps = std::max(worst_violation_ps,
-                                  std::max(vgetq_lane_f64(vworst, 0), vgetq_lane_f64(vworst, 1)));
-    for (; i < count; ++i) {
-        double granted = 0.0;
-        for (int s = 0; s < stage_count; ++s) {
-            const double d = stages[s].values[static_cast<std::size_t>(stages[s].keys[begin + i])];
-            if (d > granted) granted = d;
-        }
-        total_time_ps += granted;
-        const double required = unit[begin + i] * scale;
-        if (granted + tolerance < required) {
-            ++violation_count;
-            worst_violation_ps = std::max(worst_violation_ps, required - granted);
-        }
-    }
-    *total = total_time_ps;
-    *violations = violation_count;
-    *worst = worst_violation_ps;
-}
-
 constexpr ReplayKernels kNeonKernels = {
     &gather_max_neon,
     &scale_neon,
     &reduce_ideal_neon,
-    &gather_reduce_ideal_neon,
     "neon",
 };
 

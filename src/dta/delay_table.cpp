@@ -55,7 +55,7 @@ void DelayTable::set(OccKey key, Stage stage, double delay_ps) {
     has_raw_ = false;
     delays_[static_cast<std::size_t>(key)][static_cast<std::size_t>(stage)] = delay_ps;
     present_[static_cast<std::size_t>(key)][static_cast<std::size_t>(stage)] = true;
-    effective_[static_cast<std::size_t>(key)][static_cast<std::size_t>(stage)] = delay_ps;
+    effective_[static_cast<std::size_t>(stage)][static_cast<std::size_t>(key)] = delay_ps;
 }
 
 void DelayTable::set_characterized(OccKey key, Stage stage, double raw_max_ps) {
@@ -66,7 +66,7 @@ void DelayTable::set_characterized(OccKey key, Stage stage, double raw_max_ps) {
     const double entry = std::min(raw_max_ps + lut_guard_ps_, static_period_ps_);
     delays_[static_cast<std::size_t>(key)][static_cast<std::size_t>(stage)] = entry;
     present_[static_cast<std::size_t>(key)][static_cast<std::size_t>(stage)] = true;
-    effective_[static_cast<std::size_t>(key)][static_cast<std::size_t>(stage)] = entry;
+    effective_[static_cast<std::size_t>(stage)][static_cast<std::size_t>(key)] = entry;
 }
 
 bool DelayTable::characterized(OccKey key, Stage stage) const {
@@ -97,7 +97,7 @@ double DelayTable::cycle_period_ps(const sim::CycleRecord& record) const {
         const OccKey key = s == static_cast<int>(Stage::kAdr) && adr_redirect
                                ? static_cast<OccKey>(record.redirect_source)
                                : key_of(record.stages[static_cast<std::size_t>(s)]);
-        const double d = effective_[static_cast<std::size_t>(key)][static_cast<std::size_t>(s)];
+        const double d = effective_[static_cast<std::size_t>(s)][static_cast<std::size_t>(key)];
         if (d > period) period = d;
     }
     return period;

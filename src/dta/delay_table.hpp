@@ -92,11 +92,18 @@ public:
     /// checks — keys produced by attribution are in range by construction).
     double cycle_period_ps(const sim::CycleRecord& record) const;
 
-    /// Unchecked fallback-resolved read for the replay engine's SoA policy
-    /// kernels: identical to lookup(), but a single indexed load. `key`
-    /// must come from attribution (in range by construction).
+    /// Unchecked fallback-resolved read: identical to lookup(), but a
+    /// single indexed load. `key` must come from attribution (in range by
+    /// construction).
     double effective(OccKey key, sim::Stage stage) const {
-        return effective_[static_cast<std::size_t>(key)][static_cast<std::size_t>(stage)];
+        return effective_[static_cast<std::size_t>(stage)][static_cast<std::size_t>(key)];
+    }
+
+    /// One stage's kKeyCount fallback-resolved entries, contiguous and
+    /// indexed by key: the value row the replay engine's gather kernels
+    /// read per stage.
+    const double* effective_row(sim::Stage stage) const {
+        return effective_[static_cast<std::size_t>(stage)].data();
     }
 
     /// Voltage view: retargets the table to another operating point by
@@ -135,11 +142,11 @@ private:
     /// Raw characterized maxima (before the guard band); the scalable part
     /// of each entry. Only maintained by set_characterized().
     std::array<std::array<double, sim::kStageCount>, kKeyCount> raw_{};
-    /// Fallback-resolved view of the table: the characterized delay where
-    /// present, the static period otherwise. Maintained by set() /
-    /// set_characterized() so the per-cycle hot path is a plain load per
-    /// stage.
-    std::array<std::array<double, sim::kStageCount>, kKeyCount> effective_{};
+    /// Fallback-resolved view of the table, stage-major: the characterized
+    /// delay where present, the static period otherwise. Maintained by
+    /// set() / set_characterized() so the per-cycle hot path is a plain
+    /// load per stage and each stage's row is one contiguous array.
+    std::array<std::array<double, kKeyCount>, sim::kStageCount> effective_{};
 };
 
 }  // namespace focs::dta

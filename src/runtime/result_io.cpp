@@ -78,8 +78,7 @@ std::string metrics_json(const SweepMetrics& metrics) {
     out += "},\n";
     out += "    \"cell_wall_ms\": {\"p50\": " + json_number(metrics.cell_wall_ms_p50) +
            ", \"p95\": " + json_number(metrics.cell_wall_ms_p95) +
-           ", \"max\": " + json_number(metrics.cell_wall_ms_max) + "},\n";
-    out += "    \"queue_wait_ms_total\": " + json_number(metrics.queue_wait_ms_total) + "\n";
+           ", \"max\": " + json_number(metrics.cell_wall_ms_max) + "}\n";
     out += "  }";
     return out;
 }
@@ -197,7 +196,6 @@ SweepResult from_json(const std::string& text) {
         result.metrics.cell_wall_ms_p50 = field(walls, "p50").number();
         result.metrics.cell_wall_ms_p95 = field(walls, "p95").number();
         result.metrics.cell_wall_ms_max = field(walls, "max").number();
-        result.metrics.queue_wait_ms_total = field(m, "queue_wait_ms_total").number();
     }
     result.mean_eff_freq_mhz = field(root, "mean_eff_freq_mhz").number();
     result.mean_speedup = field(root, "mean_speedup").number();

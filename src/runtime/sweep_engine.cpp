@@ -165,10 +165,10 @@ SweepResult SweepEngine::run(const SweepSpec& raw_spec, const SweepRunOptions& o
     // indices. In replay mode the pool schedules whole columns and fuses
     // each column's variants into a single pass over the shared trace (one
     // request fill serving every generator — the request array depends only
-    // on the policy); live mode and single-variant columns evaluate per
-    // cell. Either way every cell's result is byte-identical.
-    const std::size_t group_size = std::max<std::size_t>(1, spec.generators.size());
-    const bool fuse_columns = mode_ == EvalMode::kReplay && group_size > 1;
+    // on the policy); live mode evaluates per cell. Either way every cell's
+    // result is byte-identical.
+    const std::size_t group_size = spec.generators.size();
+    const bool fuse_columns = mode_ == EvalMode::kReplay;
     const std::size_t unit_count =
         fuse_columns ? jobs_list.size() / group_size : jobs_list.size();
 
@@ -262,8 +262,8 @@ SweepResult SweepEngine::run(const SweepSpec& raw_spec, const SweepRunOptions& o
         return true;
     };
 
-    // Per-cell evaluation (live mode and single-variant columns). Returns
-    // false when the worker must stop pulling work (fail-fast abort).
+    // Per-cell live evaluation. Returns false when the worker must stop
+    // pulling work (fail-fast abort).
     const auto evaluate_one = [&](std::size_t index) {
         const SweepJob& job = jobs_list[index];
         const auto dequeued = std::chrono::steady_clock::now();
@@ -283,49 +283,17 @@ SweepResult SweepEngine::run(const SweepSpec& raw_spec, const SweepRunOptions& o
             auto table_future =
                 cache_->delay_table(job.design, analyzer_config, flow_threads, options.cancel,
                                     options.reference_characterization);
+            auto program_future = cache_->program(job.kernel);
+            const assembler::Program& program = program_future.get();
+            const dta::DelayTable& table = table_future.get();
 
-            core::DcaRunResult run;
-            if (mode_ == EvalMode::kReplay) {
-                // Record-once / replay-many: the trace is one guest
-                // simulation per (kernel, machine config), the unit
-                // delay array one fused pass per (kernel, variant) —
-                // voltage-free, so every operating point of the grid
-                // derives a ScaledTraceDelays view (one scalar) from
-                // the same cache-hot array and this cell only pays the
-                // devirtualized policy kernel.
-                auto trace_future = cache_->trace(job.kernel);
-                auto unit_future = cache_->unit_trace_delays(job.kernel, job.design);
-                const sim::PipelineTrace& trace = trace_future.get();
-                const dta::DelayTable& table = table_future.get();
-                const timing::DelayCalculator calculator(job.design);
-                const timing::ScaledTraceDelays delays =
-                    timing::scale_trace_delays(unit_future.get(), calculator);
-
-                const auto generator = job.generator->instantiate(delays.static_period_ps);
-                core::ReplayOptions replay_options;
-                replay_options.cancel = options.cancel;
-                replay_options.force_scalar = options.force_scalar_replay;
-                const core::ReplayEvaluationEngine replay(trace, delays, table, replay_options);
-                run = replay.run(job.policy, job.generator->kind == GeneratorSpec::Kind::kIdeal
-                                                 ? nullptr
-                                                 : generator.get());
-            } else {
-                auto program_future = cache_->program(job.kernel);
-                const assembler::Program& program = program_future.get();
-                const dta::DelayTable& table = table_future.get();
-
-                // Private mutable state: engine, policy and generator
-                // are constructed per job inside evaluate_cell / here.
-                const double static_period_ps =
-                    timing::DelayCalculator(job.design).static_period_ps();
-                const auto generator = job.generator->instantiate(static_period_ps);
-                run = core::evaluate_cell(
-                    job.design, table, program, job.policy,
-                    job.generator->kind == GeneratorSpec::Kind::kIdeal ? nullptr
-                                                                       : generator.get());
-            }
-
-            cell.result = std::move(run);
+            // Private mutable state: engine, policy and generator are
+            // constructed per job inside evaluate_cell / here.
+            const double static_period_ps = timing::DelayCalculator(job.design).static_period_ps();
+            const auto generator = job.generator->instantiate(static_period_ps);
+            cell.result = core::evaluate_cell(
+                job.design, table, program, job.policy,
+                job.generator->kind == GeneratorSpec::Kind::kIdeal ? nullptr : generator.get());
             cell.wall_ms = std::chrono::duration<double, std::milli>(
                                std::chrono::steady_clock::now() - dequeued)
                                .count();
@@ -340,8 +308,12 @@ SweepResult SweepEngine::run(const SweepSpec& raw_spec, const SweepRunOptions& o
         return true;
     };
 
-    // Fused evaluation of one (voltage, kernel, policy) column: every
-    // per-cell isolation point survives — each cell runs its own
+    // Replay evaluation of one (voltage, kernel, policy) column. Record-
+    // once / replay-many: the trace is one guest simulation per (kernel,
+    // machine config) and the unit delay array one fused pass per (kernel,
+    // variant) — voltage-free, so every operating point derives a
+    // ScaledTraceDelays view (one scalar) from the same cache-hot array.
+    // Every per-cell isolation point survives — each cell runs its own
     // cancellation drain, eval.cell fault point, AND artifact acquisition
     // (fetch + wait), so a poisoned cache entry fails only the cell that
     // observed it and the next cell re-elects a fresh builder, exactly as
@@ -416,7 +388,6 @@ SweepResult SweepEngine::run(const SweepSpec& raw_spec, const SweepRunOptions& o
             }
             core::ReplayOptions replay_options;
             replay_options.cancel = options.cancel;
-            replay_options.force_scalar = options.force_scalar_replay;
             const core::ReplayEvaluationEngine replay(trace, delays, table, replay_options);
             auto fused = replay.run_fused(job.policy, variants);
 
@@ -508,10 +479,7 @@ SweepResult SweepEngine::run(const SweepSpec& raw_spec, const SweepRunOptions& o
     result.metrics.unit_delays = class_delta(ArtifactClass::kUnitDelays);
     std::vector<double> walls;
     walls.reserve(result.cells.size());
-    for (const auto& cell : result.cells) {
-        walls.push_back(cell.wall_ms);
-        result.metrics.queue_wait_ms_total += cell.queue_wait_ms;
-    }
+    for (const auto& cell : result.cells) walls.push_back(cell.wall_ms);
     std::sort(walls.begin(), walls.end());
     result.metrics.cell_wall_ms_p50 = nearest_rank(walls, 50);
     result.metrics.cell_wall_ms_p95 = nearest_rank(walls, 95);

@@ -105,10 +105,6 @@ struct SweepCell {
 /// reusable across runs with different failure handling).
 struct SweepRunOptions {
     FailureMode failure_mode = FailureMode::kKeepGoing;
-    /// Pin replay cells to the scalar reference path (CLI --no-simd): no
-    /// SIMD kernel table, no fixed-point period arithmetic. Never affects
-    /// results — replay is byte-identical either way.
-    bool force_scalar_replay = false;
     /// Characterize every operating point with the full per-voltage
     /// gate-level flow (CLI --reference-characterization) instead of
     /// deriving scaled views of the shared nominal table. Never affects
@@ -139,9 +135,6 @@ struct SweepMetrics {
     double cell_wall_ms_p50 = 0;
     double cell_wall_ms_p95 = 0;
     double cell_wall_ms_max = 0;
-    /// Sum of every cell's queue_wait_ms — the scheduling overhead the
-    /// pool paid on top of the evaluation work.
-    double queue_wait_ms_total = 0;
 };
 
 struct SweepResult {

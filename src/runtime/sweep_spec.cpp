@@ -1,14 +1,21 @@
 #include "runtime/sweep_spec.hpp"
 
+#include <cmath>
 #include <cstdio>
 
 #include "common/error.hpp"
 #include "common/strings.hpp"
+#include "timing/cell_library.hpp"
 #include "workloads/kernel.hpp"
 
 namespace focs::runtime {
 
 namespace {
+
+/// Upper bound on taps:N. Each instance holds N periods, so the bound
+/// keeps one spec line (or one daemon request) from reserving gigabytes; it
+/// is far above any realistic ring-oscillator tap count.
+constexpr std::int64_t kMaxTaps = 4096;
 
 std::string format_double(double value) {
     char buf[64];
@@ -63,7 +70,8 @@ GeneratorSpec GeneratorSpec::parse(const std::string& text) {
     if (starts_with(text, "taps:")) {
         spec.kind = Kind::kQuantized;
         const auto taps = parse_int(text.substr(5));
-        check(taps.has_value() && *taps >= 2, "generator '" + text + "': need taps:N with N >= 2");
+        check(taps.has_value() && *taps >= 2 && *taps <= kMaxTaps,
+              "generator '" + text + "': need taps:N with 2 <= N <= " + std::to_string(kMaxTaps));
         spec.num_taps = static_cast<int>(*taps);
         return spec;
     }
@@ -72,7 +80,10 @@ GeneratorSpec GeneratorSpec::parse(const std::string& text) {
         check(parts.size() == 2, "generator '" + text + "': want pll:P1/P2/...:DWELL");
         spec.kind = Kind::kPllBank;
         for (const auto& period : split(parts[0], '/')) {
-            spec.periods_ps.push_back(parse_double(period));
+            const double period_ps = parse_double(period);
+            check(std::isfinite(period_ps) && period_ps > 0,
+                  "generator '" + text + "': PLL periods must be finite and > 0");
+            spec.periods_ps.push_back(period_ps);
         }
         check(!spec.periods_ps.empty(), "generator '" + text + "': no PLL periods");
         const auto dwell = parse_int(parts[1]);
@@ -150,8 +161,17 @@ SweepSpec SweepSpec::parse(const std::string& text) {
                 spec.generators.push_back(GeneratorSpec::parse(label));
             }
         } else if (key == "voltages") {
+            // Only the cell library's calibrated range is physical: outside
+            // it the delay model would extrapolate plausible-looking numbers.
+            const timing::CellLibrary& library = timing::CellLibrary::fdsoi28();
+            char range[64];
+            std::snprintf(range, sizeof range, "%.2f-%.2f V", library.min_voltage(),
+                          library.max_voltage());
             for (const auto& voltage : split_list(value)) {
-                spec.voltages_v.push_back(parse_double(voltage));
+                const double v = parse_double(voltage);
+                check(std::isfinite(v) && v >= library.min_voltage() && v <= library.max_voltage(),
+                      "voltage '" + voltage + "' outside the cell library's calibrated " + range);
+                spec.voltages_v.push_back(v);
             }
         } else if (key == "variant") {
             if (value == "conventional") {

@@ -68,7 +68,10 @@ struct SweepSpec {
 
     /// Line-based "key = v1, v2, ..." format with '#' comments. Keys:
     /// kernels, policies, generators, voltages, variant, guard_ps,
-    /// min_occurrences, jobs.
+    /// min_occurrences, jobs. Out-of-domain values are usage errors
+    /// (focs::Error) here, before any build: voltages outside the cell
+    /// library's calibrated range, taps:N above a fixed cap, PLL periods
+    /// that are not finite and positive, non-finite policy parameters.
     static SweepSpec parse(const std::string& text);
     std::string serialize() const;
 };

@@ -334,7 +334,6 @@ void SweepServer::process(Pending pending) {
         const runtime::SweepSpec spec = runtime::SweepSpec::parse(pending.request.body);
         runtime::SweepRunOptions options;
         if (pending.cancel.has_value()) options.cancel = &*pending.cancel;
-        options.force_scalar_replay = config_.force_scalar_replay;
         const runtime::SweepEngine engine(config_.jobs, cache_, config_.mode);
         const runtime::SweepResult result = engine.run(spec, options);
         response.status = result.complete() ? 200 : 206;

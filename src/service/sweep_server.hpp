@@ -74,9 +74,6 @@ struct ServerConfig {
     /// SweepEngine worker threads per request (0 = hardware concurrency).
     int jobs = 0;
     runtime::EvalMode mode = runtime::EvalMode::kReplay;
-    /// Pin replay cells to the scalar reference path (focs serve
-    /// --no-simd); byte-identical results, diagnostic escape hatch only.
-    bool force_scalar_replay = false;
 };
 
 /// Totals of the server's request counters (exact once quiesced).

@@ -296,14 +296,16 @@ TEST(PolicySpec, ParseLabelRoundTrip) {
 }
 
 TEST(PolicySpec, RejectsOutOfRangeAndMalformedParameters) {
-    // approx-lut scale must land in (0, 1], dual-cycle stretch in [1, inf);
-    // only those two kinds take a parameter at all. All rejections are
-    // usage errors (focs::Error) raised at parse time, before any build.
+    // approx-lut scale must land in (0, 1], dual-cycle stretch in [1, inf),
+    // both finite; only those two kinds take a parameter at all. All
+    // rejections are usage errors (focs::Error) raised at parse time,
+    // before any build.
     for (const char* text : {"approx-lut:0", "approx-lut:-0.5", "approx-lut:1.0001",
                              "approx-lut:2", "dual-cycle:0.99", "dual-cycle:0",
                              "dual-cycle:-3", "lut:0.8", "static:2", "genie:1",
                              "approx-lut:", "approx-lut:abc", "approx-lut:0.8x",
-                             "dual-cycle:1e999", "bogus", "bogus:1"}) {
+                             "dual-cycle:1e999", "dual-cycle:inf", "dual-cycle:nan",
+                             "approx-lut:nan", "bogus", "bogus:1"}) {
         EXPECT_THROW((void)PolicySpec::parse(text), Error) << text;
     }
 }

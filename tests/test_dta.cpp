@@ -411,8 +411,8 @@ TEST(StreamingAnalyzer, RejectsMixingModes) {
 
 /// Runs `kernels` through ONE batched engine (threads/batch from `options`)
 /// chained over all programs, exactly like CharacterizationFlow does.
-void run_batched(const std::vector<const char*>& kernels, DynamicTimingAnalysis& analysis,
-                 BatchOptions options) {
+void characterize_batched(const std::vector<const char*>& kernels,
+                          DynamicTimingAnalysis& analysis, BatchOptions options) {
     const timing::DesignConfig design;
     static const auto netlist = timing::SyntheticNetlist::generate({});
     const timing::DelayCalculator calculator(design);
@@ -461,7 +461,7 @@ TEST(BatchedCharacterization, ByteIdenticalAcrossWorkersAndBatchBoundaries) {
         SCOPED_TRACE(std::to_string(options.threads) + " workers, batch " +
                      std::to_string(options.batch_cycles));
         DynamicTimingAnalysis batched(spec, config);
-        run_batched(kernels, batched, options);
+        characterize_batched(kernels, batched, options);
 
         EXPECT_EQ(batched.cycles(), streaming.cycles());
         EXPECT_EQ(batched.build_delay_table().serialize(), reference_table);
@@ -496,7 +496,7 @@ TEST(BatchedCharacterization, RejectsUseAfterFinish) {
     config.static_period_ps = timing::DelayCalculator({}).static_period_ps();
     DynamicTimingAnalysis analysis(PipelineSpec::from_netlist(timing::SyntheticNetlist::generate({})),
                                    config);
-    run_batched({"fibcall"}, analysis, {.threads = 2, .batch_cycles = 32});
+    characterize_batched({"fibcall"}, analysis, {.threads = 2, .batch_cycles = 32});
 
     const timing::DesignConfig design;
     static const auto netlist = timing::SyntheticNetlist::generate({});

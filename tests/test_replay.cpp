@@ -8,8 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <memory>
 #include <vector>
 
@@ -126,19 +124,23 @@ TEST(Replay, ApproxLutKindProvokesViolationsLikeLive) {
 TEST(Replay, BlockBoundariesDoNotChangeResults) {
     const ReplayFixture& f = fixture();
     // Odd block sizes, a single-cycle block, and one block spanning the
-    // whole trace must all reproduce the default's bytes (the stateful PLL
-    // generator is the sharpest detector of a boundary bug).
+    // whole trace must all reproduce the default's bytes for every
+    // generator family (the stateful PLL generator is the sharpest
+    // detector of a boundary bug).
     const ReplayEvaluationEngine reference(f.trace, f.delays, f.table);
     for (const int block : {1, 3, 7, 1023, 1 << 20}) {
         ReplayOptions options;
         options.block_cycles = block;
         const ReplayEvaluationEngine engine(f.trace, f.delays, f.table, options);
         for (const PolicyKind kind : kAllKinds) {
-            SCOPED_TRACE("block=" + std::to_string(block) + " " + policy_kind_name(kind));
-            auto generator_a = make_generator(2, f.delays.static_period_ps);
-            auto generator_b = make_generator(2, f.delays.static_period_ps);
-            expect_identical(reference.run(kind, generator_a.get()),
-                             engine.run(kind, generator_b.get()));
+            for (int which = 0; which < 3; ++which) {
+                SCOPED_TRACE("block=" + std::to_string(block) + " " + policy_kind_name(kind) +
+                             "/generator" + std::to_string(which));
+                auto generator_a = make_generator(which, f.delays.static_period_ps);
+                auto generator_b = make_generator(which, f.delays.static_period_ps);
+                expect_identical(reference.run(kind, generator_a.get()),
+                                 engine.run(kind, generator_b.get()));
+            }
         }
     }
 }
@@ -194,26 +196,38 @@ TEST(Replay, GenericFallbackMatchesDevirtualizedKernels) {
     }
 }
 
-TEST(Replay, RunBatchSharesOneTrace) {
+TEST(Replay, TwoClassMatchesLiveOnLegacyTableWithFastAboveStatic) {
+    // A legacy table built with set() can hold a non-critical entry above
+    // the static period, making the two-class fast period exceed its slow
+    // (static) one. A fill that maxed per-stage period selects would then
+    // clock slow cycles at the fast period; the indicator-select fill must
+    // still match the live policy, for every generator family.
     const ReplayFixture& f = fixture();
-    const ReplayEvaluationEngine engine(f.trace, f.delays, f.table);
-    auto taps = make_generator(1, f.delays.static_period_ps);
-    const std::vector<ReplayRequest> requests = {
-        {PolicyKind::kStatic, nullptr},
-        {PolicyKind::kInstructionLut, nullptr},
-        {PolicyKind::kInstructionLut, taps.get()},
-        {PolicyKind::kDualCycle, nullptr},
-        {PolicyKind::kGenie, nullptr},
-    };
-    const auto results = engine.run_batch(requests);
-    ASSERT_EQ(results.size(), requests.size());
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        auto generator = make_generator(requests[i].generator != nullptr ? 1 : 0,
-                                        f.delays.static_period_ps);
-        expect_identical(
-            evaluate_cell(f.design, f.table, f.program, requests[i].policy, generator.get()),
-            results[i]);
+    dta::DelayTable legacy(f.table.static_period_ps());
+    for (dta::OccKey key = 0; key < dta::kKeyCount; ++key) {
+        for (int s = 0; s < sim::kStageCount; ++s) {
+            const auto stage = static_cast<sim::Stage>(s);
+            if (f.table.characterized(key, stage)) legacy.set(key, stage, f.table.lookup(key, stage));
+        }
     }
+    // l.add in EX: non-critical, and executed by crc32.
+    const auto add = static_cast<dta::OccKey>(isa::Opcode::kAdd);
+    legacy.set(add, sim::Stage::kEx, 1.25 * legacy.static_period_ps());
+    const double fast_ps = TwoClassPolicy(legacy).fast_period_ps();
+    ASSERT_GT(fast_ps, legacy.static_period_ps());
+
+    const ReplayEvaluationEngine engine(f.trace, f.delays, legacy);
+    for (int which = 0; which < 3; ++which) {
+        SCOPED_TRACE("generator" + std::to_string(which));
+        auto live_generator = make_generator(which, f.delays.static_period_ps);
+        auto replay_generator = make_generator(which, f.delays.static_period_ps);
+        expect_identical(evaluate_cell(f.design, legacy, f.program, PolicyKind::kTwoClass,
+                                       live_generator.get()),
+                         engine.run(PolicyKind::kTwoClass, replay_generator.get()));
+    }
+    // crc32's l.mul cycles are slow, so some cycles must be clocked at the
+    // (shorter) static period, or this proves nothing about the select.
+    EXPECT_LT(engine.run(PolicyKind::kTwoClass).avg_period_ps, fast_ps);
 }
 
 TEST(Replay, ParameterizedSpecsDispatchToKernelsAndMatchLive) {
@@ -279,8 +293,8 @@ TEST(Replay, FusedRunIsByteIdenticalToPerVariantRuns) {
             expect_identical(engine.run(spec, solo.get()), fused[static_cast<std::size_t>(which)]);
         }
     }
-    // Degenerate shapes: a single-variant fuse delegates to run(), an empty
-    // variant list is a no-op.
+    // Degenerate shapes: a single-variant fuse is run(), an empty variant
+    // list is a no-op.
     auto solo = make_generator(1, f.delays.static_period_ps);
     auto again = make_generator(1, f.delays.static_period_ps);
     const auto one = engine.run_fused(PolicyKind::kInstructionLut, {solo.get()});
@@ -381,15 +395,14 @@ TEST(TraceDelays, OneUnitPassServesEveryVoltageBitIdentically) {
 }
 
 TEST(Replay, ScalarReferenceAndSimdKernelsAreByteIdentical) {
-    // The tentpole contract of the vectorized kernels: the default engine
-    // (SIMD kernel table when compiled + supported, portable scalar table
-    // otherwise, fixed-point period arithmetic either way) must reproduce
-    // the force_scalar reference path byte for byte — for all 7 policy
-    // kinds, across block sizes including single-cycle blocks and one
-    // block spanning the whole trace, at two operating points (the second
-    // voltage exercises a non-nominal delay scale through the fixed-point
-    // mult+shift). The stateful PLL generator is the sharpest detector of
-    // any divergence in the grant/integrate order.
+    // The contract of the vectorized kernels: the default engine (SIMD
+    // kernel table when compiled + supported) must reproduce the
+    // force_scalar engine (the portable scalar table, the oracle) byte for
+    // byte — for all 7 policy kinds and every generator family, across
+    // block sizes including single-cycle blocks and one block spanning the
+    // whole trace, at two operating points (the second a non-nominal delay
+    // scale). The stateful PLL generator is the sharpest detector of any
+    // divergence in the grant/integrate order.
     const ReplayFixture& f = fixture();
     const timing::CellLibrary& library = timing::CellLibrary::fdsoi28();
     const double nominal_scale = library.delay_scale(timing::DesignConfig{}.voltage_v);
@@ -410,11 +423,11 @@ TEST(Replay, ScalarReferenceAndSimdKernelsAreByteIdentical) {
             kernel_options.block_cycles = block;
             const ReplayEvaluationEngine kernels(f.trace, delays, table, kernel_options);
             // The comparison must actually cover the SIMD table wherever
-            // one exists for this build/CPU (otherwise it still pins the
-            // portable kernel table against the reference loops).
+            // one exists for this build/CPU.
             EXPECT_EQ(kernels.simd_active(), simd_replay_kernels() != nullptr);
+            EXPECT_FALSE(reference.simd_active());
             for (const PolicyKind kind : kAllKinds) {
-                for (const int which : {0, 2}) {
+                for (const int which : {0, 1, 2}) {
                     SCOPED_TRACE("block=" + std::to_string(block) + " " +
                                  policy_kind_name(kind) + "/generator" + std::to_string(which));
                     auto generator_a = make_generator(which, delays.static_period_ps);
@@ -423,66 +436,6 @@ TEST(Replay, ScalarReferenceAndSimdKernelsAreByteIdentical) {
                                      kernels.run(kind, generator_b.get()));
                 }
             }
-        }
-    }
-}
-
-TEST(TraceDelays, PeriodScaleDecomposesExactly) {
-    for (const double scale : {1.0, 0.7315, 1.6180339887, 2.25e-3, 317.5}) {
-        const timing::PeriodScale decomposed = timing::PeriodScale::of(scale);
-        ASSERT_TRUE(decomposed.valid) << scale;
-        // mult carries a full 53-bit significand and the mult+shift
-        // recomposition is exact — not an approximation like cyc2ns.
-        EXPECT_GE(decomposed.mult, std::uint64_t{1} << 52);
-        EXPECT_LT(decomposed.mult, std::uint64_t{1} << 53);
-        EXPECT_EQ(static_cast<double>(decomposed.mult) * std::ldexp(1.0, decomposed.exp2),
-                  scale);
-    }
-    EXPECT_FALSE(timing::PeriodScale::of(0.0).valid);
-    EXPECT_FALSE(timing::PeriodScale::of(-1.0).valid);
-    EXPECT_FALSE(timing::PeriodScale::of(std::numeric_limits<double>::infinity()).valid);
-    EXPECT_FALSE(timing::PeriodScale::of(std::numeric_limits<double>::quiet_NaN()).valid);
-}
-
-TEST(TraceDelays, FixedPointPeriodMatchesDoublePathOnEveryBenchmarkKernel) {
-    // The fixed-point proof: for every benchmark kernel at a dense voltage
-    // grid, the integer mult+shift evaluator must resolve and reproduce
-    // fl(unit * delay_scale) bit for bit on every cycle — no tolerances,
-    // and no silent skips (a failed resolve would demote the hot loop to
-    // the double path, so it fails the test). Prefix-truncated traces keep
-    // the grid fast; the identity is per-cycle, so a prefix proves the
-    // same thing.
-    constexpr double kVoltages[] = {0.50, 0.54, 0.58, 0.62, 0.66, 0.70,
-                                    0.74, 0.78, 0.82, 0.86, 0.90};
-    constexpr std::size_t kMaxCycles = 3000;
-    for (const auto& kernel : workloads::benchmark_suite()) {
-        SCOPED_TRACE(kernel.name);
-        const auto program = assembler::assemble(kernel.source);
-        const sim::PipelineTrace trace = sim::record_trace(program);
-        const std::vector<sim::CycleRecord> records(
-            trace.records.begin(),
-            trace.records.begin() +
-                static_cast<std::ptrdiff_t>(std::min(kMaxCycles, trace.records.size())));
-        timing::DesignConfig design;
-        const auto unit = std::make_shared<const timing::UnitTraceDelays>(
-            timing::compute_unit_trace_delays(timing::DelayCalculator(design), records));
-        for (const double voltage : kVoltages) {
-            SCOPED_TRACE(voltage);
-            design.voltage_v = voltage;
-            const timing::ScaledTraceDelays scaled =
-                timing::scale_trace_delays(unit, timing::DelayCalculator(design));
-            ASSERT_TRUE(scaled.period_scale.valid);
-            const auto fixed = timing::FixedPointPeriod::resolve(scaled);
-            ASSERT_TRUE(fixed.has_value());
-            ASSERT_EQ(fixed->cycles(), scaled.cycles());
-            std::vector<double> via_fixed(records.size());
-            std::vector<double> via_double(records.size());
-            for (std::size_t c = 0; c < records.size(); ++c) {
-                via_fixed[c] = (*fixed)(c);
-                via_double[c] = scaled.required_period_ps(c);
-            }
-            // Element-exact vector equality: one comparison per grid point.
-            EXPECT_EQ(via_fixed, via_double);
         }
     }
 }

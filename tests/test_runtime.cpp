@@ -71,9 +71,10 @@ TEST(SweepEngine, ReplayIsByteIdenticalToLiveAtEveryJobCount) {
     // bundled policy kind — including the promoted approx-lut/dual-cycle
     // kernels and two parameterized grid points — and two voltage points,
     // so the shared unit delay arrays are raced and scaled across the
-    // voltage axis too. With two generators per column the replay side
-    // schedules fused columns, so this also proves fusion is invisible in
-    // the bytes at every job count.
+    // voltage axis too. The replay side schedules every (voltage, kernel,
+    // policy) column as one fused pass — over both generators, and over
+    // the single ideal variant of an ideal-only axis — so this also proves
+    // fusion is invisible in the bytes at every job count.
     SweepSpec spec = small_spec();
     spec.policies = {core::PolicyKind::kInstructionLut, core::PolicyKind::kStatic,
                      core::PolicyKind::kGenie, core::PolicyKind::kExOnly,
@@ -82,23 +83,27 @@ TEST(SweepEngine, ReplayIsByteIdenticalToLiveAtEveryJobCount) {
                      core::PolicySpec::parse("approx-lut:0.8"),
                      core::PolicySpec::parse("dual-cycle:3")};
     spec.voltages_v = {0.65, 0.70};
-    const SweepResult live = SweepEngine(2, nullptr, EvalMode::kLive).run(spec);
-    EXPECT_EQ(live.mode, "live");
-    EXPECT_EQ(live.guest_simulations, live.cells.size());
-    EXPECT_EQ(live.unit_delay_passes, 0u);
-    const std::string live_json = to_json(live, /*include_timing=*/false);
-    for (const int jobs : {1, 2, 8}) {
-        const SweepResult replayed = SweepEngine(jobs, nullptr, EvalMode::kReplay).run(spec);
-        EXPECT_EQ(replayed.mode, "replay");
-        // Exactly one guest simulation AND one unit delay pass per kernel,
-        // regardless of the 18 policy x generator cells and 2 voltage
-        // points stacked on each.
-        EXPECT_EQ(replayed.guest_simulations, spec.kernels.size()) << jobs << " jobs";
-        EXPECT_EQ(replayed.unit_delay_passes, spec.kernels.size()) << jobs << " jobs";
-        EXPECT_EQ(replayed.unit_delay_reuses,
-                  replayed.cells.size() - spec.kernels.size())
-            << jobs << " jobs";
-        EXPECT_EQ(to_json(replayed, /*include_timing=*/false), live_json) << jobs << " jobs";
+    for (const auto& generators :
+         {spec.generators, std::vector<GeneratorSpec>{GeneratorSpec::parse("ideal")}}) {
+        spec.generators = generators;
+        SCOPED_TRACE(std::to_string(generators.size()) + " generator(s)");
+        const SweepResult live = SweepEngine(2, nullptr, EvalMode::kLive).run(spec);
+        EXPECT_EQ(live.mode, "live");
+        EXPECT_EQ(live.guest_simulations, live.cells.size());
+        EXPECT_EQ(live.unit_delay_passes, 0u);
+        const std::string live_json = to_json(live, /*include_timing=*/false);
+        for (const int jobs : {1, 2, 8}) {
+            const SweepResult replayed = SweepEngine(jobs, nullptr, EvalMode::kReplay).run(spec);
+            EXPECT_EQ(replayed.mode, "replay");
+            // Exactly one guest simulation AND one unit delay pass per
+            // kernel, regardless of the policy x generator cells and 2
+            // voltage points stacked on each.
+            EXPECT_EQ(replayed.guest_simulations, spec.kernels.size()) << jobs << " jobs";
+            EXPECT_EQ(replayed.unit_delay_passes, spec.kernels.size()) << jobs << " jobs";
+            EXPECT_EQ(replayed.unit_delay_reuses, replayed.cells.size() - spec.kernels.size())
+                << jobs << " jobs";
+            EXPECT_EQ(to_json(replayed, /*include_timing=*/false), live_json) << jobs << " jobs";
+        }
     }
 }
 
@@ -164,7 +169,6 @@ TEST(SweepEngine, StampsCacheOutcomeMetrics) {
     EXPECT_GE(result.metrics.cell_wall_ms_p95, result.metrics.cell_wall_ms_p50);
     EXPECT_GE(result.metrics.cell_wall_ms_max, result.metrics.cell_wall_ms_p95);
     EXPECT_GT(result.metrics.cell_wall_ms_max, 0.0);
-    EXPECT_GE(result.metrics.queue_wait_ms_total, 0.0);
     for (const auto& cell : result.cells) EXPECT_GE(cell.wall_ms, 0.0);
 
     // A warm cache builds nothing: every request is served.
@@ -404,7 +408,6 @@ TEST(ResultIo, JsonRoundTripIsLossless) {
     EXPECT_DOUBLE_EQ(parsed.metrics.cell_wall_ms_p50, result.metrics.cell_wall_ms_p50);
     EXPECT_DOUBLE_EQ(parsed.metrics.cell_wall_ms_p95, result.metrics.cell_wall_ms_p95);
     EXPECT_DOUBLE_EQ(parsed.metrics.cell_wall_ms_max, result.metrics.cell_wall_ms_max);
-    EXPECT_DOUBLE_EQ(parsed.metrics.queue_wait_ms_total, result.metrics.queue_wait_ms_total);
     ASSERT_EQ(parsed.cells.size(), result.cells.size());
     for (std::size_t i = 0; i < parsed.cells.size(); ++i) {
         EXPECT_EQ(parsed.cells[i].kernel, result.cells[i].kernel);
@@ -626,6 +629,20 @@ TEST(SweepSpec, RejectsBadInput) {
     EXPECT_THROW(SweepSpec::parse("guard_ps = many\n"), Error);
     EXPECT_THROW(SweepSpec::parse("variant = quantum\n"), Error);
     EXPECT_THROW(SweepSpec::parse("min_occurrences = -3\n"), Error);
+    // Non-physical or unbounded values: rejected at parse time, before any
+    // build or allocation.
+    EXPECT_THROW(SweepSpec::parse("voltages = nan\n"), Error);
+    EXPECT_THROW(SweepSpec::parse("voltages = -1\n"), Error);
+    EXPECT_THROW(SweepSpec::parse("voltages = 1e308\n"), Error);
+    EXPECT_THROW(SweepSpec::parse("voltages = 0.49\n"), Error);
+    EXPECT_THROW(SweepSpec::parse("voltages = 0.91\n"), Error);
+    EXPECT_THROW(SweepSpec::parse("generators = taps:2000000000\n"), Error);
+    EXPECT_THROW(SweepSpec::parse("generators = pll:0/0:0\n"), Error);
+    EXPECT_THROW(SweepSpec::parse("generators = pll:1300/inf:4\n"), Error);
+    EXPECT_THROW(SweepSpec::parse("generators = pll:nan:4\n"), Error);
+    EXPECT_THROW(SweepSpec::parse("policies = dual-cycle:inf\n"), Error);
+    // The calibrated range's end points stay valid.
+    EXPECT_EQ(SweepSpec::parse("voltages = 0.5, 0.9\n").voltages_v.size(), 2u);
 }
 
 TEST(SweepSpec, ResolvedFillsDefaults) {

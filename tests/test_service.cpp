@@ -156,6 +156,11 @@ TEST(SweepService, RejectsMalformedRequests) {
         const ClientResponse bad_spec = post_sweep(server.port(), "kernels = \x01nope\nwat\n");
         EXPECT_EQ(bad_spec.status, 400);
         EXPECT_NE(bad_spec.body.find("\"error\""), std::string::npos);
+        // Out-of-range voltage -> 400 at parse time, never a computed grid.
+        const ClientResponse bad_voltage =
+            post_sweep(server.port(), "kernels = crc32\nvoltages = 1e308\n");
+        EXPECT_EQ(bad_voltage.status, 400);
+        EXPECT_NE(bad_voltage.body.find("calibrated"), std::string::npos);
 
         // Malformed deadline header -> 400 before admission.
         HttpRequest bad_deadline;
@@ -176,7 +181,7 @@ TEST(SweepService, RejectsMalformedRequests) {
         EXPECT_EQ(http_request(server.port(), wrong_method).status, 405);
 
         const ServerStats stats = server.stats();
-        EXPECT_EQ(stats.bad_request, 4u);
+        EXPECT_EQ(stats.bad_request, 5u);
         EXPECT_EQ(stats.served(), 0u);
     });
 }

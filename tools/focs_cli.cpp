@@ -99,10 +99,10 @@ using namespace focs;
                  "               [--batch N] [--streaming|--materialized]\n"
                  "  evaluate <file.s|kernel:NAME> [--lut lut.txt] [--policy P] [--taps N]\n"
                  "  suite [--lut lut.txt] [--policy P] [--jobs N] [--replay|--live]\n"
-                 "        [--metrics] [--trace-out trace.json] [--no-simd]\n"
+                 "        [--metrics] [--trace-out trace.json]\n"
                  "  sweep <spec.sweep> [--jobs N] [--replay|--live] [-o results.json]\n"
                  "        [--canonical] [--metrics] [--trace-out trace.json]\n"
-                 "        [--fail-fast] [--deadline-ms N] [--fault SPEC] [--no-simd]\n"
+                 "        [--fail-fast] [--deadline-ms N] [--fault SPEC]\n"
                  "        [--reference-characterization]\n"
                  "      --replay (default): simulate each kernel once, replay every\n"
                  "                          policy/generator cell from the cached trace\n"
@@ -118,9 +118,6 @@ using namespace focs;
                  "      --fault SPEC:       arm the deterministic fault injector, e.g.\n"
                  "                          'build.delay_table:0.3:seed=7' (FOCS_FAULT\n"
                  "                          environment variable works too)\n"
-                 "      --no-simd:          replay on the scalar reference path (no SIMD\n"
-                 "                          kernels, no fixed-point clock arithmetic);\n"
-                 "                          results are byte-identical either way\n"
                  "      --reference-characterization:\n"
                  "                          characterize every voltage point from scratch\n"
                  "                          instead of scaling one nominal delay table;\n"
@@ -128,7 +125,7 @@ using namespace focs;
                  "  stats <file.s|kernel:NAME> [--lut lut.txt]\n"
                  "  serve [--port N] [--max-inflight N] [--queue-depth N]\n"
                  "        [--deadline-default-ms X] [--cache-budget-mb N] [--jobs N]\n"
-                 "        [--replay|--live] [--metrics] [--trace-out trace.json] [--no-simd]\n"
+                 "        [--replay|--live] [--metrics] [--trace-out trace.json]\n"
                  "      long-lived sweep daemon on 127.0.0.1 (POST /sweep with a spec\n"
                  "      body; GET /healthz, /metricsz). Bounded admission queue sheds\n"
                  "      excess load with 503, X-Focs-Deadline-Ms returns partial results\n"
@@ -214,7 +211,6 @@ runtime::SweepRunOptions parse_run_options(const std::vector<std::string>& args,
     if (flag_present(args, "--fail-fast")) {
         options.failure_mode = runtime::FailureMode::kFailFast;
     }
-    options.force_scalar_replay = flag_present(args, "--no-simd");
     options.reference_characterization = flag_present(args, "--reference-characterization");
     if (const auto ms = flag_value(args, "--deadline-ms")) {
         double value = 0;
@@ -506,9 +502,8 @@ int cmd_sweep(const std::vector<std::string>& args) {
         json_out << runtime::to_json(result, /*include_timing=*/!flag_present(args, "--canonical"));
         std::printf("results written to %s\n", path->c_str());
     }
-    std::printf("cell wall ms: p50 %.2f, p95 %.2f, max %.2f; queue wait total %.1f ms\n",
-                result.metrics.cell_wall_ms_p50, result.metrics.cell_wall_ms_p95,
-                result.metrics.cell_wall_ms_max, result.metrics.queue_wait_ms_total);
+    std::printf("cell wall ms: p50 %.2f, p95 %.2f, max %.2f\n", result.metrics.cell_wall_ms_p50,
+                result.metrics.cell_wall_ms_p95, result.metrics.cell_wall_ms_max);
     obs_emit(args, engine.cache().get());
     return finish_partial(result);
 }
@@ -570,7 +565,6 @@ int cmd_serve(const std::vector<std::string>& args) {
     config.cache_budget_bytes = static_cast<std::uint64_t>(budget_mb * 1024.0 * 1024.0);
     config.jobs = parse_jobs(args);
     config.mode = parse_eval_mode_flags(args);
-    config.force_scalar_replay = flag_present(args, "--no-simd");
     if (const auto spec = flag_value(args, "--fault")) fault::global_injector().configure(*spec);
 
     service::SweepServer server(config);
@@ -692,18 +686,9 @@ int main(int argc, char** argv) {
     std::vector<std::string> args;
     for (int i = 2; i < argc; ++i) args.emplace_back(argv[i]);
     try {
-        // --no-simd only means something where replay runs (same usage
-        // taxonomy as a non-positive --deadline-ms: reject, exit 1).
-        if (command != "suite" && command != "sweep" && command != "serve") {
-            for (const std::string& arg : args) {
-                if (arg == "--no-simd") {
-                    throw Error("--no-simd only applies to replaying commands "
-                                "(suite, sweep, serve)");
-                }
-            }
-        }
         // --reference-characterization only means something where the
-        // runtime derives per-voltage delay tables (same taxonomy).
+        // runtime derives per-voltage delay tables (same usage taxonomy as
+        // a non-positive --deadline-ms: reject, exit 1).
         if (command != "suite" && command != "sweep") {
             for (const std::string& arg : args) {
                 if (arg == "--reference-characterization") {
