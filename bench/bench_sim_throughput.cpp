@@ -3,19 +3,18 @@
 // The paper stresses that the custom delay-annotated ISS enables "rapid
 // evaluation ... for any complex benchmark"; these benchmarks document the
 // throughput of this reproduction's equivalents: the bare cycle-accurate
-// pipeline, the DCA-annotated engine, and the full characterization flow in
-// both its streaming (single-pass, allocation-free) and materialized
-// (offline event log) modes.
+// pipeline, the DCA-annotated engine, and the full characterization flow —
+// the batched engine and its offline oracle (materialized event log).
 //
 // Besides the google-benchmark suite, the binary emits a machine-readable
 // BENCH_sim_throughput.json artifact (path override: FOCS_BENCH_JSON env
-// var) with cycles/sec and peak-RSS figures for both characterization
-// modes, the evaluation hot loop (live and trace-replay), a sweep
+// var) with cycles/sec and peak-RSS figures for the batched engine and the
+// offline oracle, the evaluation hot loop (live and trace-replay), a sweep
 // wall-clock comparison of the two evaluation modes at 1/2/4/8 workers,
 // the voltage-axis amortization series (per-voltage delay passes vs
 // one fused unit pass; a 10-voltage replay sweep with its unit-pass
 // counters), the characterization-axis collapse series (V per-voltage
-// reference characterizations vs one nominal pass plus V bit-identical
+// characterizations vs one nominal pass plus V bit-identical
 // DelayTable::scaled views; fused multi-generator replay vs per-variant
 // runs), the robustness series (replay hot loop with a dormant
 // CancellationToken threaded through, vs plain — the fault-tolerance
@@ -235,42 +234,26 @@ void BM_GateLevelEventEmission(benchmark::State& state) {
 BENCHMARK(BM_GateLevelEventEmission)->Unit(benchmark::kMillisecond);
 
 // Full characterization flow over the whole suite, one timer tick per flow
-// run: streaming (single-pass EventSink ingestion) vs. materialized (merged
-// event log, then offline analysis). Both produce byte-identical LUTs; the
-// streaming mode is the sweep runtime's default.
-void BM_CharacterizationStreaming(benchmark::State& state) {
+// run, through the offline oracle (merged event log, then analysis). Same
+// LUT as the batched engine below.
+void BM_CharacterizationOffline(benchmark::State& state) {
     const timing::DesignConfig design;
     const core::CharacterizationFlow flow(design);
     std::uint64_t cycles = 0;
     for (auto _ : state) {
-        const auto result =
-            flow.run(characterization_programs(), core::CharacterizationMode::kStreaming);
+        const auto result = flow.run_offline(characterization_programs());
         cycles += result.cycles;
         benchmark::DoNotOptimize(result.genie_mean_period_ps);
     }
     state.counters["cycles/s"] = benchmark::Counter(static_cast<double>(cycles),
                                                     benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_CharacterizationStreaming)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CharacterizationOffline)->Unit(benchmark::kMillisecond);
 
-void BM_CharacterizationMaterialized(benchmark::State& state) {
-    const timing::DesignConfig design;
-    const core::CharacterizationFlow flow(design);
-    std::uint64_t cycles = 0;
-    for (auto _ : state) {
-        const auto result =
-            flow.run(characterization_programs(), core::CharacterizationMode::kMaterialized);
-        cycles += result.cycles;
-        benchmark::DoNotOptimize(result.genie_mean_period_ps);
-    }
-    state.counters["cycles/s"] = benchmark::Counter(static_cast<double>(cycles),
-                                                    benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_CharacterizationMaterialized)->Unit(benchmark::kMillisecond);
-
-// Batched characterization (the default mode): SoA endpoint kernel over
-// distilled cycle batches, with `Arg` endpoint-kernel worker threads (1 =
-// serial inline kernel). Byte-identical delay tables at every thread count.
+// Batched characterization (CharacterizationFlow::run): SoA endpoint kernel
+// over distilled cycle batches, with `Arg` endpoint-kernel worker threads
+// (1 = serial inline kernel). Byte-identical delay tables at every thread
+// count.
 void BM_CharacterizationBatched(benchmark::State& state) {
     const timing::DesignConfig design;
     const core::CharacterizationFlow flow(design);
@@ -370,7 +353,7 @@ TimedRun timed_cycles(int reps, Fn&& run) {
     return {seconds > 0 ? static_cast<double>(cycles) / seconds : 0, cycles};
 }
 
-/// Pre-PR throughput of the seed implementation (materialized-only
+/// Pre-PR throughput of the seed implementation (offline-only
 /// characterization, per-fetch decode, checked per-stage LUT lookups),
 /// measured on the CI-class dev host this repository is benchmarked on.
 /// These anchor the speedup fields below; on a different host compare the
@@ -386,10 +369,10 @@ void emit_artifact() {
     const core::CharacterizationFlow flow(design);
     const auto& programs = characterization_programs();
 
-    // Peak-RSS protocol: measure the streaming mode first (1x, then 4x the
-    // program list) so the monotonic high-water mark can prove that
-    // streaming peak memory does not scale with cycle count; only then run
-    // the materialized mode, whose event log dwarfs both.
+    // Peak-RSS protocol: measure the batched engine at 1 thread first (1x,
+    // then 4x the program list) so the monotonic high-water mark can prove
+    // that its peak memory does not scale with cycle count; only then run
+    // the offline oracle, whose event log dwarfs both.
     std::vector<assembler::Program> programs_4x;
     programs_4x.reserve(programs.size() * 4);
     for (int i = 0; i < 4; ++i) {
@@ -398,24 +381,24 @@ void emit_artifact() {
 
     const long rss_start_kb = peak_rss_kb();
     dta::DelayTable table;  // captured from the timed runs for the eval bench
-    const TimedRun streaming = timed_cycles(3, [&] {
-        auto result = flow.run(programs, core::CharacterizationMode::kStreaming);
+    const TimedRun batched_1x = timed_cycles(3, [&] {
+        auto result = flow.run(programs);
         table = std::move(result.table);
         return result.cycles;
     });
-    const long rss_streaming_kb = peak_rss_kb();
-    const TimedRun streaming_4x = timed_cycles(1, [&] {
-        return flow.run(programs_4x, core::CharacterizationMode::kStreaming).cycles;
-    });
-    const long rss_streaming_4x_kb = peak_rss_kb();
-    const TimedRun materialized = timed_cycles(3, [&] {
-        return flow.run(programs, core::CharacterizationMode::kMaterialized).cycles;
-    });
+    const long rss_batched_kb = peak_rss_kb();
+    flow.run(programs_4x);
+    const long rss_batched_4x_kb = peak_rss_kb();
+    // Host calibration figure (materialized_cycles_per_s): the offline
+    // oracle is the path no change optimizes, so its throughput tracks the
+    // host's speed.
+    const TimedRun materialized =
+        timed_cycles(3, [&] { return flow.run_offline(programs).cycles; });
     const long rss_materialized_kb = peak_rss_kb();
 
     // Batched engine scaling series (after the RSS protocol above so the
-    // slot rings don't disturb the streaming high-water marks). threads=1
-    // is the serial inline kernel — the acceptance figure tracked per push.
+    // slot rings don't disturb the high-water marks). threads=1 is the
+    // serial inline kernel — the acceptance figure tracked per push.
     constexpr int kBatchedThreadSeries[] = {1, 2, 4, 8};
     std::array<TimedRun, 4> batched{};
     for (std::size_t i = 0; i < batched.size(); ++i) {
@@ -703,8 +686,8 @@ void emit_artifact() {
     }
 
     // Characterization-axis collapse: the same 10-point axis paid two
-    // ways. Reference: one full characterization flow per operating point
-    // (what --reference-characterization re-enables). Nominal-once: a
+    // ways. Per-voltage: one full characterization flow per operating point
+    // (the tests' oracle for the views). Nominal-once: a
     // single characterization at the nominal point plus 10 scaled views
     // (DelayTable::scaled re-applies the guard-band rule on the scaled raw
     // samples). The views must serialize bit-identically to the reference
@@ -783,7 +766,7 @@ void emit_artifact() {
     }
 
     std::string out = "{\n";
-    out += "  \"schema\": " + json_string("focs-bench-sim-throughput-v10") + ",\n";
+    out += "  \"schema\": " + json_string("focs-bench-sim-throughput-v11") + ",\n";
     out += "  \"baseline\": {\n";
     out += "    \"note\": " +
            json_string("pre-PR seed implementation, commit edd42a9, measured on the repo's dev "
@@ -796,20 +779,14 @@ void emit_artifact() {
     out += "    \"evaluation_cycles_per_s\": " + json_number(kBaselineEvaluationCyclesPerS) +
            "\n  },\n";
     out += "  \"characterization\": {\n";
-    out += "    \"suite_cycles\": " + std::to_string(streaming.cycles / 3) + ",\n";
-    out += "    \"streaming_cycles_per_s\": " + json_number(streaming.cycles_per_s) + ",\n";
-    out += "    \"streaming_4x_cycles_per_s\": " + json_number(streaming_4x.cycles_per_s) + ",\n";
+    out += "    \"suite_cycles\": " + std::to_string(batched_1x.cycles / 3) + ",\n";
     out += "    \"materialized_cycles_per_s\": " + json_number(materialized.cycles_per_s) + ",\n";
-    out += "    \"streaming_speedup_vs_baseline\": " +
-           json_number(streaming.cycles_per_s / kBaselineCharacterizationCyclesPerS) + ",\n";
     out += "    \"characterization_batched_cycles_per_s\": {\n";
     for (std::size_t i = 0; i < batched.size(); ++i) {
         out += "      \"threads_" + std::to_string(kBatchedThreadSeries[i]) +
                "\": " + json_number(batched[i].cycles_per_s) + (i + 1 < batched.size() ? ",\n" : "\n");
     }
     out += "    },\n";
-    out += "    \"batched_speedup_vs_streaming\": " +
-           json_number(batched_best / streaming.cycles_per_s) + ",\n";
     out += "    \"batched_speedup_vs_baseline\": " +
            json_number(batched_best / kBaselineCharacterizationCyclesPerS) + "\n  },\n";
     out += "  \"evaluation\": {\n";
@@ -964,18 +941,17 @@ void emit_artifact() {
     out += "  \"characterization_axis\": {\n";
     out += "    \"note\": " +
            json_string("the characterization-collapse win: the same 10-point voltage axis "
-                       "paid as 10 full per-voltage characterization flows (the "
-                       "--reference-characterization escape hatch) vs one nominal "
+                       "paid as 10 full per-voltage characterization flows vs one nominal "
                        "characterization plus 10 DelayTable::scaled views; "
                        "scaled_views_identical certifies the views serialize bit-identically "
-                       "to the reference tables (both enforced as floors by "
+                       "to the per-voltage tables (both enforced as floors by "
                        "tools/check_bench_regression.py), and the fused series times one "
                        "run_fused pass over an {ideal, taps:8, pll} generator column against "
                        "per-variant replays of the same cells, byte-identical results, best "
                        "of 3 passes each") +
            ",\n";
     out += "    \"voltages\": " + std::to_string(kAxisPoints) + ",\n";
-    out += "    \"reference_passes_ms\": " + json_number(char_reference_ms) + ",\n";
+    out += "    \"per_voltage_flows_ms\": " + json_number(char_reference_ms) + ",\n";
     out += "    \"nominal_pass_plus_views_ms\": " + json_number(char_nominal_ms) + ",\n";
     out += "    \"nominal_pass_speedup\": " +
            json_number(char_nominal_ms > 0 ? char_reference_ms / char_nominal_ms : 0) + ",\n";
@@ -990,16 +966,16 @@ void emit_artifact() {
            "\n  },\n";
     out += "  \"peak_rss\": {\n";
     out += "    \"note\": " +
-           json_string("deltas of the process high-water mark; streaming stays bounded under "
-                       "4x the cycles (only capped sample buffers fill further), while the "
-                       "materialized event log scales with cycle count") +
+           json_string("deltas of the process high-water mark; the batched engine at 1 thread "
+                       "stays bounded under 4x the cycles (only capped sample buffers fill "
+                       "further), while the offline oracle's materialized event log scales "
+                       "with cycle count") +
            ",\n";
-    out += "    \"streaming_delta_kb\": " + std::to_string(rss_streaming_kb - rss_start_kb) +
-           ",\n";
-    out += "    \"streaming_4x_cycles_extra_delta_kb\": " +
-           std::to_string(rss_streaming_4x_kb - rss_streaming_kb) + ",\n";
+    out += "    \"batched_delta_kb\": " + std::to_string(rss_batched_kb - rss_start_kb) + ",\n";
+    out += "    \"batched_4x_cycles_extra_delta_kb\": " +
+           std::to_string(rss_batched_4x_kb - rss_batched_kb) + ",\n";
     out += "    \"materialized_extra_delta_kb\": " +
-           std::to_string(rss_materialized_kb - rss_streaming_4x_kb) + "\n  }\n";
+           std::to_string(rss_materialized_kb - rss_batched_4x_kb) + "\n  }\n";
     out += "}\n";
 
     const char* env_path = std::getenv("FOCS_BENCH_JSON");
@@ -1028,7 +1004,7 @@ int main(int argc, char** argv) {
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
     // The artifact runs first: its peak-RSS protocol needs a clean process
-    // high-water mark, which the benchmark suite (with its materialized
+    // high-water mark, which the benchmark suite (with its offline
     // characterization runs) would otherwise pollute.
     if (!list_only) emit_artifact();
     benchmark::RunSpecifiedBenchmarks();

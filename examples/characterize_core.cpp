@@ -7,14 +7,14 @@
 //   - a slice of the extracted per-instruction delay LUT (Table II flavour),
 //   - the serialized LUT, ready to be stored and reloaded.
 //
-// The default (and recommended) mode is BATCHED: the pipeline distills
+// CharacterizationFlow::run is the batched engine: the pipeline distills
 // each cycle into batch slots and a structure-of-arrays endpoint kernel
 // folds whole blocks straight into the analyzer — optionally on worker
 // threads (CharacterizationOptions::threads) behind a bounded ring buffer.
-// The STREAMING mode is the per-cycle EventSink reference path; the
-// MATERIALIZED mode additionally retains the merged event log / occupancy
-// trace — the offline-dump form of the paper's TSSI flow — at O(cycles)
-// memory. All three produce byte-identical delay tables.
+// CharacterizationFlow::run_offline is its oracle, the paper's offline
+// TSSI flow: it materializes the merged event log / occupancy trace at
+// O(cycles) memory and analyzes it afterwards. Both produce byte-identical
+// delay tables.
 //
 // Build & run:  ./build/examples/characterize_core
 #include <cstdio>
@@ -31,15 +31,14 @@ int main() {
     const core::CharacterizationFlow flow(design);
     const auto programs = workloads::assemble_programs(workloads::characterization_suite());
 
-    // Batched single-pass characterization (the default mode): serial
-    // inline endpoint kernel, 1024-cycle slots.
+    // Batched single-pass characterization: serial inline endpoint kernel.
     const auto result = flow.run(programs);
 
     std::printf("characterization: %llu cycles, %zu endpoints, T_static %.0f ps\n\n",
                 static_cast<unsigned long long>(result.cycles),
                 flow.netlist().endpoints().size(), result.static_period_ps);
 
-    // Figure queries work in the single-pass modes too: histograms
+    // Figure queries work on the single-pass engine too: histograms
     // accumulate incrementally at a fixed fine resolution and are served
     // coarsened.
     std::printf("per-cycle worst dynamic delay (genie view):\n%s\n",
@@ -71,25 +70,18 @@ int main() {
 
     // Intra-flow pipeline parallelism: the same batch API with endpoint-
     // kernel worker threads. Deterministic — the LUT stays byte-identical
-    // at any thread count and batch size.
+    // at any thread count.
     core::CharacterizationOptions parallel;
     parallel.threads = 4;
-    parallel.batch_cycles = 512;
     const auto threaded = flow.run(programs, parallel);
     std::printf("\n4-thread batched re-run: LUT byte-identical: %s\n",
                 threaded.table.serialize() == serialized ? "yes" : "NO");
 
-    // Streaming mode: the per-cycle EventSink reference path.
-    const auto streaming = flow.run(programs, core::CharacterizationMode::kStreaming);
-    std::printf("streaming re-run: LUT byte-identical: %s\n",
-                streaming.table.serialize() == serialized ? "yes" : "NO");
-
-    // Materialized mode: identical LUT, but the merged gate-level event log
-    // is retained for offline dumps (the paper's TSSI event-log flow).
-    const auto offline = flow.run(programs, core::CharacterizationMode::kMaterialized);
-    std::printf("materialized re-run: LUT byte-identical: %s; event log %zu events (%zu bytes "
-                "serialized)\n",
+    // The offline oracle: materialize the gate-level event log, then run
+    // dynamic timing analysis over it (the paper's TSSI event-log flow).
+    const auto offline = flow.run_offline(programs);
+    std::printf("offline re-run: LUT byte-identical: %s; %zu per-cycle delay rows retained\n",
                 offline.table.serialize() == serialized ? "yes" : "NO",
-                offline.event_log->size(), offline.event_log->serialize().size());
+                offline.analysis->cycle_stage_delays().size());
     return 0;
 }

@@ -18,7 +18,7 @@ Histogram::Histogram(double lo, double hi, int bins) : lo_(lo), hi_(hi) {
 
 void Histogram::add(double x, std::uint64_t weight) {
     // Reciprocal multiply instead of a divide: add() runs several times per
-    // cycle in the streaming/batched characterization fold (figure
+    // cycle in the batched characterization fold (figure
     // accumulators), where the divide latency dominates the bin math.
     auto bin = static_cast<std::int64_t>(std::floor((x - lo_) * inv_width_));
     bin = std::clamp<std::int64_t>(bin, 0, static_cast<std::int64_t>(counts_.size()) - 1);

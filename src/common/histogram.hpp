@@ -26,7 +26,7 @@ public:
     /// Returns a copy with `bins` coarser bins (`bins` must divide bins()).
     /// Counts are summed groupwise; the summary statistics carry over
     /// unchanged since they describe the underlying samples, not the bins.
-    /// Lets a fine-grained accumulator (e.g. the streaming analyzer's
+    /// Lets a fine-grained accumulator (e.g. the batched analyzer's
     /// figure histograms) serve figure queries at any coarser resolution.
     Histogram coarsened(int bins) const;
 

@@ -28,67 +28,12 @@ void check_self_check(const sim::RunResult& run) {
     }
 }
 
-}  // namespace
-
-CharacterizationResult CharacterizationFlow::run(const std::vector<assembler::Program>& programs,
-                                                 const CharacterizationOptions& options) const {
-    check(!programs.empty(), "characterization needs at least one program");
-
-    auto analysis = std::make_shared<dta::DynamicTimingAnalysis>(
-        dta::PipelineSpec::from_netlist(netlist_), analyzer_config_);
-
+/// Shared tail of run() and run_offline(): the table and headline figures.
+CharacterizationResult assemble_result(std::shared_ptr<dta::DynamicTimingAnalysis> analysis,
+                                       double static_period_ps) {
     CharacterizationResult result;
-    if (options.mode == CharacterizationMode::kBatched) {
-        // One batch engine consumes every program's cycle stream back to
-        // back: the pipeline produces distilled cycle batches, the SoA
-        // endpoint kernel (optionally on options.threads workers) reduces
-        // them, and the in-order merger folds blocks into the analyzer.
-        dta::BatchOptions batch_options;
-        batch_options.threads = options.threads;
-        batch_options.batch_cycles = options.batch_cycles;
-        batch_options.cancel = options.cancel;
-        dta::BatchCharacterizationEngine engine(netlist_, calculator_, *analysis, batch_options);
-        for (const auto& program : programs) {
-            if (options.cancel != nullptr) options.cancel->throw_if_cancelled();
-            sim::Machine machine(machine_config_);
-            machine.load(program);
-            check_self_check(machine.run(&engine));
-        }
-        engine.finish();
-    } else if (options.mode == CharacterizationMode::kStreaming) {
-        // Single pass: one streaming analyzer consumes every program's cycle
-        // stream back to back. Per-program cycle numbering is irrelevant to
-        // the accumulators, so no merged timeline is needed.
-        for (const auto& program : programs) {
-            if (options.cancel != nullptr) options.cancel->throw_if_cancelled();
-            sim::Machine machine(machine_config_);
-            machine.load(program);
-            dta::GateLevelSimulation gatesim(netlist_, calculator_, *analysis);
-            check_self_check(machine.run(&gatesim));
-        }
-    } else {
-        // Gate-level-style simulation of every program; cycles are
-        // concatenated into one global timeline before analysis.
-        auto merged_log = std::make_shared<dta::EventLog>();
-        auto merged_trace = std::make_shared<dta::OccupancyTrace>();
-        std::uint64_t cycle_offset = 0;
-        for (const auto& program : programs) {
-            if (options.cancel != nullptr) options.cancel->throw_if_cancelled();
-            sim::Machine machine(machine_config_);
-            machine.load(program);
-            dta::GateLevelSimulation gatesim(netlist_, calculator_);
-            check_self_check(machine.run(&gatesim));
-            merged_log->append_shifted(gatesim.event_log(), cycle_offset);
-            merged_trace->append_shifted(gatesim.trace(), cycle_offset);
-            cycle_offset += gatesim.trace().size();
-        }
-        analysis->analyze(*merged_log, *merged_trace);
-        result.event_log = std::move(merged_log);
-        result.trace = std::move(merged_trace);
-    }
-
     result.table = analysis->build_delay_table();
-    result.static_period_ps = analyzer_config_.static_period_ps;
+    result.static_period_ps = static_period_ps;
     result.genie_mean_period_ps = analysis->genie_mean_period_ps();
     result.genie_speedup = result.genie_mean_period_ps > 0
                                ? result.static_period_ps / result.genie_mean_period_ps
@@ -96,6 +41,55 @@ CharacterizationResult CharacterizationFlow::run(const std::vector<assembler::Pr
     result.cycles = analysis->cycles();
     result.analysis = std::move(analysis);
     return result;
+}
+
+}  // namespace
+
+CharacterizationResult CharacterizationFlow::run(const std::vector<assembler::Program>& programs,
+                                                 const CharacterizationOptions& options) const {
+    check(!programs.empty(), "characterization needs at least one program");
+    auto analysis = std::make_shared<dta::DynamicTimingAnalysis>(
+        dta::PipelineSpec::from_netlist(netlist_), analyzer_config_);
+
+    // One batch engine consumes every program's cycle stream back to back:
+    // the pipeline produces distilled cycle batches, the SoA endpoint kernel
+    // (optionally on options.threads workers) reduces them, and the in-order
+    // merger folds blocks into the analyzer.
+    dta::BatchOptions batch_options;
+    batch_options.threads = options.threads;
+    batch_options.cancel = options.cancel;
+    dta::BatchCharacterizationEngine engine(netlist_, calculator_, *analysis, batch_options);
+    for (const auto& program : programs) {
+        if (options.cancel != nullptr) options.cancel->throw_if_cancelled();
+        sim::Machine machine(machine_config_);
+        machine.load(program);
+        check_self_check(machine.run(&engine));
+    }
+    engine.finish();
+    return assemble_result(std::move(analysis), analyzer_config_.static_period_ps);
+}
+
+CharacterizationResult CharacterizationFlow::run_offline(
+    const std::vector<assembler::Program>& programs) const {
+    check(!programs.empty(), "characterization needs at least one program");
+    // Gate-level-style simulation of every program; cycles are concatenated
+    // into one global timeline before analysis.
+    dta::EventLog log;
+    dta::OccupancyTrace trace;
+    std::uint64_t cycle_offset = 0;
+    for (const auto& program : programs) {
+        sim::Machine machine(machine_config_);
+        machine.load(program);
+        dta::GateLevelSimulation gatesim(netlist_, calculator_);
+        check_self_check(machine.run(&gatesim));
+        log.append_shifted(gatesim.event_log(), cycle_offset);
+        trace.append_shifted(gatesim.trace(), cycle_offset);
+        cycle_offset += gatesim.trace().size();
+    }
+    auto analysis = std::make_shared<dta::DynamicTimingAnalysis>(
+        dta::PipelineSpec::from_netlist(netlist_), analyzer_config_);
+    analysis->analyze(log, trace);
+    return assemble_result(std::move(analysis), analyzer_config_.static_period_ps);
 }
 
 EvaluationFlow::EvaluationFlow(const timing::DesignConfig& design, const dta::DelayTable& table,

@@ -1,8 +1,10 @@
 // End-to-end flows of the paper's methodology (Fig. 2).
 //
 // CharacterizationFlow: program binaries -> cycle-accurate execution with
-// the synthetic gate-level delay model -> endpoint event log + occupancy
-// trace -> dynamic timing analysis -> per-instruction delay LUT.
+// the synthetic gate-level delay model -> endpoint events + occupancy ->
+// dynamic timing analysis -> per-instruction delay LUT. run() is the fast
+// path (the batched engine, which reduces events as it goes); run_offline()
+// is its oracle, the paper's materialized event-log flow.
 //
 // EvaluationFlow: benchmark binaries + delay LUT -> delay-annotated ISS
 // runs under a selectable policy/clock generator -> effective clock
@@ -24,39 +26,16 @@
 
 namespace focs::core {
 
-/// How the characterization flow ingests the gate-level event stream.
-enum class CharacterizationMode {
-    /// Batched single-pass: cycles are distilled into batch slots and the
-    /// SoA endpoint kernel folds whole blocks straight into the analyzer
-    /// (optionally on worker threads — see CharacterizationOptions). No
-    /// events are materialized; delay tables, figure histograms and
-    /// statistics are byte-identical to the other modes. This is the
-    /// default (and what the sweep runtime uses).
-    kBatched,
-    /// Per-cycle single-pass: every cycle's endpoint events are built in a
-    /// scratch buffer and folded into the analyzer through the EventSink
-    /// interface. Kept as the reference implementation of the event-level
-    /// protocol (and for comparison benchmarks).
-    kStreaming,
-    /// Materializes the merged EventLog/OccupancyTrace before analysis.
-    /// Opt-in for offline serialization of the logs and for golden tests;
-    /// also retains the analyzer's per-cycle delay vector.
-    kMaterialized,
-};
-
-/// Knobs of the characterization run. All combinations produce identical
-/// results; they only trade wall-clock time and memory.
+/// Knobs of CharacterizationFlow::run. Every thread count produces the same
+/// result; it only trades wall-clock time.
 struct CharacterizationOptions {
-    CharacterizationMode mode = CharacterizationMode::kBatched;
-    /// Endpoint-kernel worker threads (kBatched only): <= 1 runs the batch
-    /// kernel inline, N > 1 adds intra-flow pipeline parallelism (N kernel
-    /// workers + one merger behind a bounded slot ring).
+    /// Endpoint-kernel worker threads: <= 1 runs the batch kernel inline,
+    /// N > 1 adds intra-flow pipeline parallelism (N kernel workers + one
+    /// merger behind a bounded slot ring).
     int threads = 1;
-    /// Cycles per batch slot (kBatched only).
-    int batch_cycles = 1024;
-    /// Optional cooperative cancellation: polled between programs (all
-    /// modes) and at batch-slot boundaries (kBatched); a fired token
-    /// throws CancelledError. nullptr = never cancelled.
+    /// Optional cooperative cancellation: polled between programs and at
+    /// batch-slot boundaries; a fired token throws CancelledError.
+    /// nullptr = never cancelled.
     const CancellationToken* cancel = nullptr;
 };
 
@@ -69,10 +48,6 @@ struct CharacterizationResult {
     /// Full analysis object for figure-level queries (histograms, per-
     /// instruction stats).
     std::shared_ptr<dta::DynamicTimingAnalysis> analysis;
-    /// Merged gate-level artifacts for offline dumps; populated only in
-    /// CharacterizationMode::kMaterialized.
-    std::shared_ptr<const dta::EventLog> event_log;
-    std::shared_ptr<const dta::OccupancyTrace> trace;
 };
 
 class CharacterizationFlow {
@@ -81,21 +56,20 @@ public:
                                   dta::AnalyzerConfig analyzer_config = {},
                                   sim::MachineConfig machine_config = {});
 
-    /// Runs every program through the gate-level-style flow and merges all
-    /// cycles into one analysis (the paper's characterization benchmark of
-    /// ~14k cycles is a concatenation of kernels and semi-random tests).
-    /// All modes produce byte-identical delay tables; see
-    /// CharacterizationMode / CharacterizationOptions for the trade-offs.
+    /// Runs every program through the batched characterization engine and
+    /// merges all cycles into one analysis (the paper's characterization
+    /// benchmark of ~14k cycles is a concatenation of kernels and semi-
+    /// random tests). Nothing per cycle is retained.
     CharacterizationResult run(const std::vector<assembler::Program>& programs,
                                const CharacterizationOptions& options = {}) const;
 
-    /// Mode-only convenience overload (default thread/batch knobs).
-    CharacterizationResult run(const std::vector<assembler::Program>& programs,
-                               CharacterizationMode mode) const {
-        CharacterizationOptions options;
-        options.mode = mode;
-        return run(programs, options);
-    }
+    /// The oracle: the paper's offline flow. Gate-level simulation writes
+    /// every program's endpoint event log and occupancy trace onto one
+    /// timeline, and DynamicTimingAnalysis::analyze reads them back (events
+    /// in any order, per-cycle delays retained, figure histograms binned
+    /// directly). Same table, statistics and histograms as run(), at
+    /// O(cycles x endpoints) memory.
+    CharacterizationResult run_offline(const std::vector<assembler::Program>& programs) const;
 
     const timing::SyntheticNetlist& netlist() const { return netlist_; }
     const timing::DelayCalculator& calculator() const { return calculator_; }

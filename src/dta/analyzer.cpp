@@ -52,12 +52,11 @@ double DynamicTimingAnalysis::accumulate_cycle(
             // observations ends up in the retained set with equal
             // probability, so capped histograms stay representative of the
             // whole run instead of its first cap cycles. Hash-derived
-            // indices keep reruns (and the streaming, batched and
-            // materialized paths, which see the same sequence)
-            // bit-identical. The hash is mapped into [0, occurrences) with
-            // a fixed-point multiply (Lemire reduction) — a 64-bit modulo
-            // here costs a hardware divide per stage per cycle in the
-            // characterization hot loop.
+            // indices keep reruns (and the batched and offline paths, which
+            // see the same sequence) bit-identical. The hash is mapped into
+            // [0, occurrences) with a fixed-point multiply (Lemire
+            // reduction) — a 64-bit modulo here costs a hardware divide per
+            // stage per cycle in the characterization hot loop.
             const std::uint64_t slot = splitmix64(
                 (static_cast<std::uint64_t>(key) << 40) ^
                 (static_cast<std::uint64_t>(s) << 32) ^ ks.occurrences);
@@ -72,7 +71,7 @@ double DynamicTimingAnalysis::accumulate_cycle(
 }
 
 void DynamicTimingAnalysis::analyze(const EventLog& log, const OccupancyTrace& trace) {
-    check(!streaming_, "cannot mix materialized analysis with streaming ingestion");
+    check(!batched_, "cannot mix offline analysis with batched ingestion");
     // One-shot: a second analyze() would reset the per-cycle state but keep
     // accumulating key statistics, leaving the instance inconsistent.
     check(cycles_ == 0, "analyze() may only be called once per instance");
@@ -110,62 +109,35 @@ void DynamicTimingAnalysis::analyze(const EventLog& log, const OccupancyTrace& t
     }
 }
 
-void DynamicTimingAnalysis::ensure_streaming() {
-    check(cycle_delays_.empty(), "cannot mix streaming ingestion with materialized analysis");
-    if (streaming_) return;
-    streaming_ = true;
-    // Constant-size figure accumulators replacing the per-cycle delay
-    // vector of the materialized mode.
-    const double hi = config_.static_period_ps * 1.02;
-    figure_hists_.reserve(1 + sim::kStageCount);
-    for (int i = 0; i < 1 + sim::kStageCount; ++i) {
-        figure_hists_.emplace_back(0.0, hi, kStreamingFigureBins);
-    }
-}
-
-void DynamicTimingAnalysis::fold_cycle_delays(
-    const std::array<OccKey, sim::kStageCount>& keys,
-    const std::array<double, sim::kStageCount>& delays) {
-    const double worst = accumulate_cycle(keys, delays);
-    genie_stats_.add(worst);
-    figure_hists_[0].add(worst);
-    for (int s = 0; s < sim::kStageCount; ++s) {
-        figure_hists_[static_cast<std::size_t>(1 + s)].add(delays[static_cast<std::size_t>(s)]);
-    }
-    ++cycles_;
-}
-
-void DynamicTimingAnalysis::consume_cycle(const TraceEntry& entry,
-                                          std::span<const EndpointEvent> events) {
-    ensure_streaming();
-
-    // Same slack recovery as analyze() phase 1, folded into a stack-local
-    // per-stage array instead of the materialized per-cycle vector.
-    std::array<double, sim::kStageCount> delays{};
-    for (const auto& event : events) {
-        const auto id = static_cast<std::size_t>(event.endpoint_id);
-        check(id < spec_.endpoints.size(), "event stream references an unknown endpoint");
-        const auto& info = spec_.endpoints[id];
-        const double required = event.data_arrival_ps;
-        const double slack = event.clock_edge_ps - event.data_arrival_ps - info.skew_ps;
-        check(slack >= 0, "gate-level simulation clock violated an endpoint");
-        auto& stage_delay = delays[static_cast<std::size_t>(info.stage)];
-        stage_delay = std::max(stage_delay, required);
-    }
-
-    fold_cycle_delays(entry.keys, delays);
-}
-
 void DynamicTimingAnalysis::consume_batch(std::span<const FoldedCycle> batch) {
-    ensure_streaming();
+    check(cycle_delays_.empty(), "cannot mix batched ingestion with offline analysis");
+    if (!batched_) {
+        // Constant-size figure accumulators in place of the offline
+        // analysis's per-cycle delay vector.
+        batched_ = true;
+        const double hi = config_.static_period_ps * 1.02;
+        figure_hists_.reserve(1 + sim::kStageCount);
+        for (int i = 0; i < 1 + sim::kStageCount; ++i) {
+            figure_hists_.emplace_back(0.0, hi, kFigureBins);
+        }
+    }
     // The endpoint kernel already reduced each cycle's events to per-stage
-    // maxima with the exact slack arithmetic of consume_cycle, so the fold
-    // is a straight block replay of the shared extraction step.
-    for (const FoldedCycle& cycle : batch) fold_cycle_delays(cycle.keys, cycle.stage_ps);
+    // maxima with the exact slack arithmetic of analyze(), so the fold is a
+    // straight block replay of the shared extraction step.
+    for (const FoldedCycle& cycle : batch) {
+        const double worst = accumulate_cycle(cycle.keys, cycle.stage_ps);
+        genie_stats_.add(worst);
+        figure_hists_[0].add(worst);
+        for (int s = 0; s < sim::kStageCount; ++s) {
+            figure_hists_[static_cast<std::size_t>(1 + s)].add(
+                cycle.stage_ps[static_cast<std::size_t>(s)]);
+        }
+        ++cycles_;
+    }
 }
 
 Histogram DynamicTimingAnalysis::genie_histogram(int bins) const {
-    if (streaming_) return figure_hists_[0].coarsened(bins);
+    if (batched_) return figure_hists_[0].coarsened(bins);
     Histogram h(0.0, config_.static_period_ps * 1.02, bins);
     for (const auto& delays : cycle_delays_) {
         h.add(*std::max_element(delays.begin(), delays.end()));
@@ -174,7 +146,7 @@ Histogram DynamicTimingAnalysis::genie_histogram(int bins) const {
 }
 
 Histogram DynamicTimingAnalysis::stage_histogram(sim::Stage stage, int bins) const {
-    if (streaming_) {
+    if (batched_) {
         return figure_hists_[1 + static_cast<std::size_t>(stage)].coarsened(bins);
     }
     Histogram h(0.0, config_.static_period_ps * 1.02, bins);
@@ -185,7 +157,7 @@ Histogram DynamicTimingAnalysis::stage_histogram(sim::Stage stage, int bins) con
 }
 
 double DynamicTimingAnalysis::genie_mean_period_ps() const {
-    if (streaming_) return genie_stats_.mean();
+    if (batched_) return genie_stats_.mean();
     RunningStats stats;
     for (const auto& delays : cycle_delays_) {
         stats.add(*std::max_element(delays.begin(), delays.end()));

@@ -305,8 +305,8 @@ void BatchCharacterizationEngine::run_shard(const std::vector<Segment>& shard,
                 // normalized requirement directly (see GateLevelSimulation),
                 // so the recovered value is the requirement itself. The
                 // slack check keeps the exact floating-point expression
-                // order of DynamicTimingAnalysis::consume_cycle so the two
-                // paths accept/reject identically.
+                // order of DynamicTimingAnalysis::analyze so the two paths
+                // accept/reject identically.
                 const double clock_edge = sim_period + skew[i];
                 const double slack = clock_edge - endpoint_required - skew[i];
                 if (slack < 0) throw_violated_endpoint();

@@ -1,9 +1,9 @@
-// Batched characterization engine.
+// Batched characterization engine: the one fast path of
+// CharacterizationFlow::run.
 //
-// The streaming characterization path (GateLevelSimulation + EventSink)
-// still pays, per cycle, for materializing one EndpointEvent per endpoint
-// and for re-deriving per-endpoint constants inside two virtual calls. This
-// engine rebuilds that hot path around *batches*:
+// The offline flow (GateLevelSimulation + DynamicTimingAnalysis::analyze)
+// materializes one EndpointEvent per endpoint per cycle. This engine never
+// does; it works on *batches*:
 //
 //   pipeline (producer thread)
 //        │  distills each CycleRecord into a batch entry
@@ -22,11 +22,9 @@
 // producer fused with the analyzer's slack recovery (one fused splitmix64
 // per endpoint, SoA constant loads, no EndpointEvent), so the resulting
 // delay tables, figure histograms and per-(instruction, stage) statistics
-// are byte-identical to the serial streaming path for every worker count
-// and batch size. With threads <= 1 the engine runs the same batch kernel
-// inline on the producer thread (no ring, no locks) — that serial batched
-// mode is already several times faster than the per-cycle streaming path
-// and is the default of CharacterizationFlow.
+// equal the offline analysis of the same cycles for every worker count and
+// batch size. With threads <= 1 the engine runs the same batch kernel
+// inline on the producer thread (no ring, no locks).
 #pragma once
 
 #include <cstdint>

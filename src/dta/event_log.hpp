@@ -12,8 +12,8 @@
 // (the invariant behind DelayTable's scaled voltage views).
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -47,32 +47,10 @@ struct FoldedCycle {
     std::array<double, sim::kStageCount> stage_ps{};
 };
 
-/// Per-cycle consumer of the gate-level endpoint event stream: the streaming
-/// counterpart of a materialized (EventLog, OccupancyTrace) pair. A producer
-/// (GateLevelSimulation) invokes consume_cycle exactly once per simulated
-/// cycle, in cycle order, with the cycle's occupancy attribution and every
-/// endpoint event of that cycle. Consumers fold events on the fly, so peak
-/// memory stays independent of the number of simulated cycles instead of
-/// materializing the O(cycles x endpoints) log.
-class EventSink {
-public:
-    virtual ~EventSink() = default;
-
-    /// `events` is only valid for the duration of the call (producers reuse
-    /// a scratch buffer); `entry.cycle` and every event's `cycle` refer to
-    /// the producer's local cycle counter.
-    virtual void consume_cycle(const TraceEntry& entry,
-                               std::span<const EndpointEvent> events) = 0;
-};
-
 /// In-memory event log with text (de)serialization.
 class EventLog {
 public:
     void add(EndpointEvent event) { events_.push_back(event); }
-    /// Bulk-appends a batch of events (e.g. one cycle's scratch buffer).
-    void append(std::span<const EndpointEvent> events) {
-        events_.insert(events_.end(), events.begin(), events.end());
-    }
     /// Bulk-appends one producer's events, shifting cycles by `cycle_offset`
     /// (concatenating per-program timelines into one global timeline).
     void append_shifted(const EventLog& other, std::uint64_t cycle_offset);

@@ -14,14 +14,6 @@ GateLevelSimulation::GateLevelSimulation(const timing::SyntheticNetlist& netlist
     for (int s = 0; s < sim::kStageCount; ++s) {
         check(soa_.stage_size(s) > 0, "netlist has a stage without endpoints");
     }
-    cycle_events_.reserve(soa_.size());
-}
-
-GateLevelSimulation::GateLevelSimulation(const timing::SyntheticNetlist& netlist,
-                                         const timing::DelayCalculator& calculator,
-                                         EventSink& sink, double sim_period_factor)
-    : GateLevelSimulation(netlist, calculator, sim_period_factor) {
-    sink_ = &sink;
 }
 
 void GateLevelSimulation::on_cycle(const sim::CycleRecord& record) {
@@ -31,7 +23,6 @@ void GateLevelSimulation::on_cycle(const sim::CycleRecord& record) {
     trace_entry.cycle = record.cycle;
     trace_entry.keys = attribution_keys(record);
 
-    cycle_events_.clear();
     for (int s = 0; s < sim::kStageCount; ++s) {
         const std::size_t begin = soa_.stage_begin[static_cast<std::size_t>(s)];
         const std::size_t end = soa_.stage_begin[static_cast<std::size_t>(s) + 1];
@@ -61,18 +52,11 @@ void GateLevelSimulation::on_cycle(const sim::CycleRecord& record) {
             // is still skewed.
             event.data_arrival_ps = endpoint_required;
             event.clock_edge_ps = sim_period_ps_ + soa_.skew_ps[i];
-            cycle_events_.push_back(event);
+            event_log_.add(event);
         }
-    }
-    ++cycles_observed_;
-
-    if (sink_ != nullptr) {
-        sink_->consume_cycle(trace_entry, cycle_events_);
-        return;
     }
     reference_delays_.push_back(delays.stage_ps);
     trace_.add(trace_entry);
-    event_log_.append(cycle_events_);
 }
 
 }  // namespace focs::dta

@@ -72,7 +72,6 @@ ArtifactCache::ArtifactCache(int max_build_attempts)
     }
     nominal_passes_id_ = metrics_.counter("cache.delay_table.nominal_passes");
     scaled_views_id_ = metrics_.counter("cache.delay_table.scaled_views");
-    reference_passes_id_ = metrics_.counter("cache.delay_table.reference_passes");
 }
 
 template <typename T>
@@ -301,7 +300,14 @@ std::shared_future<std::vector<assembler::Program>> ArtifactCache::characterizat
 
 std::shared_future<dta::DelayTable> ArtifactCache::delay_table(
     const timing::DesignConfig& design, const dta::AnalyzerConfig& analyzer_config,
-    int flow_threads, const CancellationToken* cancel, bool reference_characterization) {
+    int flow_threads, const CancellationToken* cancel) {
+    // An explicit static period breaks the pure delay-scale relation between
+    // operating points that the scaled view rests on (and design_key does not
+    // carry it), so it is refused before any builder is elected.
+    if (!(analyzer_config.static_period_ps <= 0)) {  // > 0, or NaN
+        throw Error("delay_table derives the static period from the design; an explicit "
+                    "analyzer static_period_ps is not supported");
+    }
     const std::string key = design_key(design, analyzer_config);
     std::promise<dta::DelayTable> promise;
     std::shared_future<dta::DelayTable> future = promise.get_future().share();
@@ -314,36 +320,18 @@ std::shared_future<dta::DelayTable> ArtifactCache::delay_table(
         }
         tables_.emplace(key, Entry<dta::DelayTable>{future});
     }
-    // An explicit static-period override breaks the pure delay-scale
-    // relation between operating points, so such requests always take the
-    // reference flow.
-    const bool reference = reference_characterization || analyzer_config.static_period_ps > 0;
     metrics_.add(ids(ArtifactClass::kDelayTable).miss);
     const auto start = std::chrono::steady_clock::now();
     FOCS_OBS_SPAN(span, obs::global_tracer(), "cache.build.delay_table");
     span.arg("key", key).arg("flow_threads", static_cast<std::int64_t>(flow_threads));
     run_build(
         ArtifactClass::kDelayTable, key, tables_, promise,
-        [&]() -> dta::DelayTable {
-            if (reference) {
-                // Per-voltage reference characterization: the byte-identity
-                // escape hatch (and the explicit-static-period path).
-                // Dependency fetched inside the build so a retry after a
-                // failed suite assembly re-elects that builder too.
-                const auto programs = characterization_programs();
-                const core::CharacterizationFlow flow(design, analyzer_config);
-                core::CharacterizationOptions options;
-                options.threads = flow_threads;
-                options.cancel = cancel;
-                dta::DelayTable table = flow.run(programs.get(), options).table;
-                metrics_.add(reference_passes_id_);
-                return table;
-            }
+        [&] {
             // Derived view: scale the shared nominal table by the cell
             // library's delay ratio. delay_scale(kNominalVoltageV) == 1.0
             // exactly, so the ratio is delay_scale(target) itself and the
-            // view is bit-identical to a reference characterization at the
-            // target voltage (DelayTable::scaled).
+            // view is bit-identical to a characterization at the target
+            // voltage (DelayTable::scaled).
             const auto nominal =
                 nominal_delay_table(design, analyzer_config, flow_threads, cancel);
             const double factor =
@@ -508,21 +496,12 @@ ArtifactBuildStats ArtifactCache::build_stats(ArtifactClass artifact_class) cons
             metrics_.counter_value(ids.evicted_lru)};
 }
 
-std::uint64_t ArtifactCache::characterizations_built() const {
-    return metrics_.counter_value(nominal_passes_id_) +
-           metrics_.counter_value(reference_passes_id_);
-}
-
 std::uint64_t ArtifactCache::nominal_passes() const {
     return metrics_.counter_value(nominal_passes_id_);
 }
 
 std::uint64_t ArtifactCache::scaled_views() const {
     return metrics_.counter_value(scaled_views_id_);
-}
-
-std::uint64_t ArtifactCache::reference_passes() const {
-    return metrics_.counter_value(reference_passes_id_);
 }
 
 std::uint64_t ArtifactCache::cache_hits() const {

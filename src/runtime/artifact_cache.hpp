@@ -20,15 +20,14 @@
 // config) at the cell library's nominal operating point (0.70 V, where
 // delay_scale == 1.0 exactly), and every per-voltage table is derived from
 // that shared nominal entry as a DelayTable::scaled view — bit-identical to
-// a reference characterization at the target voltage (see
+// a characterization at the target voltage (see
 // DelayTable::scaled for the rounding-monotonicity argument). The nominal
 // entry sits behind its own shared_future<shared_ptr<const DelayTable>>
 // with the same exactly-once election, and participates in the byte-budget
 // LRU like any other entry. cache.delay_table.nominal_passes counts nominal
 // flows actually executed and cache.delay_table.scaled_views counts derived
-// per-voltage views; the per-voltage reference flow stays available behind
-// delay_table(..., reference_characterization=true), counted in
-// cache.delay_table.reference_passes.
+// per-voltage views. A per-voltage characterization is the tests' oracle,
+// not a cache path; a table loaded from disk enters via put_delay_table.
 //
 // Every lookup lands in exactly one of three outcomes per artifact class,
 // counted on an embedded (always-enabled, private) metrics registry:
@@ -132,18 +131,15 @@ public:
     /// suite). Throws focs::Error through the future on unknown kernels.
     std::shared_future<assembler::Program> program(const std::string& kernel);
 
-    /// Characterization delay table of one operating point. By default the
-    /// table is derived as a DelayTable::scaled view of the shared nominal
-    /// entry (one gate-level characterization per voltage-free nominal key,
-    /// bit-identical to characterizing at the target voltage); pass
-    /// `reference_characterization = true` to force the per-voltage
-    /// reference flow instead (the byte-identity escape hatch). A table
-    /// pre-seeded via put_delay_table for this operating point always wins
-    /// over both paths. `analyzer_config` participates in the cache key, so
-    /// different guard bands are distinct artifacts; an explicit
-    /// analyzer_config.static_period_ps (> 0) disables the nominal
-    /// factorization for that request (the override breaks the pure
-    /// delay-scale relation the view depends on). `flow_threads` sets the
+    /// Characterization delay table of one operating point, derived as a
+    /// DelayTable::scaled view of the shared nominal entry (one gate-level
+    /// characterization per voltage-free nominal key, bit-identical to
+    /// characterizing at the target voltage). A table pre-seeded via
+    /// put_delay_table for this operating point wins. `analyzer_config`
+    /// participates in the cache key, so different guard bands are distinct
+    /// artifacts; an explicit analyzer_config.static_period_ps (> 0) throws
+    /// focs::Error before any builder is elected (the override breaks the
+    /// pure delay-scale relation the view depends on). `flow_threads` sets the
     /// batched characterization engine's intra-flow worker count for a
     /// build triggered by this request (it does not affect the artifact —
     /// every thread count produces the same table — so it is not part of
@@ -156,8 +152,7 @@ public:
     std::shared_future<dta::DelayTable> delay_table(const timing::DesignConfig& design,
                                                     const dta::AnalyzerConfig& analyzer_config,
                                                     int flow_threads = 1,
-                                                    const CancellationToken* cancel = nullptr,
-                                                    bool reference_characterization = false);
+                                                    const CancellationToken* cancel = nullptr);
 
     /// Pre-seeds the table cache (e.g. a LUT loaded from disk with --lut),
     /// so the sweep skips characterization for this operating point.
@@ -181,26 +176,15 @@ public:
         const std::string& kernel, const timing::DesignConfig& design,
         const sim::MachineConfig& machine_config = {});
 
-    /// Number of gate-level characterization flows actually executed (not
-    /// pre-seeded, not cache hits, not derived scaled views): nominal
-    /// passes plus reference passes. The determinism test asserts a
-    /// V-voltage sweep pays exactly one (the nominal pass), independent of
-    /// V.
-    std::uint64_t characterizations_built() const;
-
-    /// Nominal characterization flows executed (one per distinct
-    /// voltage-free nominal key; the cache.delay_table.nominal_passes
-    /// counter).
+    /// Gate-level characterization flows actually executed (not pre-seeded,
+    /// not cache hits, not derived scaled views): one per distinct voltage-
+    /// free nominal key, so a V-voltage sweep pays exactly one, independent
+    /// of V (the cache.delay_table.nominal_passes counter).
     std::uint64_t nominal_passes() const;
 
     /// Per-voltage tables derived from a nominal entry via
     /// DelayTable::scaled (the cache.delay_table.scaled_views counter).
     std::uint64_t scaled_views() const;
-
-    /// Per-voltage reference characterization flows executed on behalf of
-    /// delay_table(..., reference_characterization=true) requests (the
-    /// cache.delay_table.reference_passes counter).
-    std::uint64_t reference_passes() const;
 
     /// Total requests answered from an already-present entry (hit + wait,
     /// summed over all four artifact classes).
@@ -364,8 +348,8 @@ private:
     };
     std::array<ClassIds, 4> ids_;
     /// Delay-table-only counters of the nominal factorization (metric names
-    /// cache.delay_table.{nominal_passes,scaled_views,reference_passes}).
-    obs::MetricsRegistry::Id nominal_passes_id_, scaled_views_id_, reference_passes_id_;
+    /// cache.delay_table.{nominal_passes,scaled_views}).
+    obs::MetricsRegistry::Id nominal_passes_id_, scaled_views_id_;
 
     const ClassIds& ids(ArtifactClass artifact_class) const {
         return ids_[static_cast<std::size_t>(artifact_class)];

@@ -28,8 +28,8 @@ void append_cell(std::string& out, const SweepCell& cell, bool include_timing) {
     out += ", \"generator\": " + json_string(cell.generator);
     out += ", \"voltage_v\": " + json_number(cell.voltage_v);
     if (!cell.ok()) {
-        // Failure fields appear only on non-ok cells: an all-ok document
-        // is byte-identical to the v4 layout (modulo the schema string).
+        // Failure fields appear only on non-ok cells, keeping all-ok
+        // documents free of the failure vocabulary.
         out += ", \"status\": " + json_string(cell_status_name(cell.status));
         out += ", \"error_code\": " + json_string(error_code_name(cell.error_code));
         out += ", \"error\": " + json_string(cell.error);
@@ -115,8 +115,7 @@ std::string to_json(const SweepResult& result, bool include_timing) {
         out += "  \"metrics\": " + metrics_json(result.metrics) + ",\n";
     }
     if (result.cells_failed > 0 || result.cells_cancelled > 0) {
-        // Partial-result header; omitted from fully successful documents so
-        // the canonical all-ok layout matches v4 (schema string aside).
+        // Partial-result header; omitted from fully successful documents.
         out += "  \"cells_ok\": " + std::to_string(result.cells_ok) + ",\n";
         out += "  \"cells_failed\": " + std::to_string(result.cells_failed) + ",\n";
         out += "  \"cells_cancelled\": " + std::to_string(result.cells_cancelled) + ",\n";
@@ -138,23 +137,11 @@ SweepResult from_json(const std::string& text) {
     const Value document = json::parse(text);
     const Object& root = document.object();
     const std::string& schema = field(root, "schema").string();
-    // v5: pre-characterization-collapse documents without the
-    // nominal_passes / scaled_views counters; v4: pre-fault-tolerance
-    // documents without cell statuses; v3: pre-observability documents
-    // without the metrics block and per-cell timing; v2: pre-unit-delays
-    // documents without the voltage-axis counters; v1: pre-replay documents
-    // without the spec stamp. All still readable.
-    check(schema == "focs-sweep-v6" || schema == "focs-sweep-v5" || schema == "focs-sweep-v4" ||
-              schema == "focs-sweep-v3" || schema == "focs-sweep-v2" || schema == "focs-sweep-v1",
-          "unknown sweep result schema '" + schema + "'");
+    check(schema == "focs-sweep-v6", "unknown sweep result schema '" + schema + "'");
 
     SweepResult result;
-    if (const auto it = root.find("spec"); it != root.end()) {
-        result.spec_text = it->second.string();
-    }
-    if (const auto it = root.find("spec_hash"); it != root.end()) {
-        result.spec_hash = it->second.string();
-    }
+    result.spec_text = field(root, "spec").string();
+    result.spec_hash = field(root, "spec_hash").string();
     if (const auto it = root.find("jobs"); it != root.end()) {
         result.jobs = static_cast<int>(it->second.number());
     }
@@ -244,8 +231,8 @@ SweepResult from_json(const std::string& text) {
         result.cells.push_back(std::move(cell));
     }
     // Per-status counts: trust the header when stamped (partial-result
-    // documents), otherwise derive from the cells so all-ok v6 documents
-    // and every pre-v6 vintage report cells_ok == cells.size().
+    // documents), otherwise derive from the cells so all-ok documents
+    // report cells_ok == cells.size().
     if (const auto it = root.find("cells_ok"); it != root.end()) {
         result.cells_ok = as_u64(it->second);
         if (const auto failed = root.find("cells_failed"); failed != root.end()) {

@@ -127,7 +127,6 @@ SweepResult SweepEngine::run(const SweepSpec& raw_spec, const SweepRunOptions& o
     check(!spec.kernels.empty(), "sweep has no kernels");
 
     const dta::AnalyzerConfig analyzer_config = analyzer_config_for(spec);
-    const std::uint64_t tables_before = cache_->characterizations_built();
     const std::uint64_t nominal_before = cache_->nominal_passes();
     const std::uint64_t views_before = cache_->scaled_views();
     const std::uint64_t hits_before = cache_->cache_hits();
@@ -281,8 +280,7 @@ SweepResult SweepEngine::run(const SweepSpec& raw_spec, const SweepRunOptions& o
             FOCS_FAULT_POINT_CANCEL("eval.cell", cell_key(cell), options.cancel);
             // Shared artifacts: built once, then served from the cache.
             auto table_future =
-                cache_->delay_table(job.design, analyzer_config, flow_threads, options.cancel,
-                                    options.reference_characterization);
+                cache_->delay_table(job.design, analyzer_config, flow_threads, options.cancel);
             auto program_future = cache_->program(job.kernel);
             const assembler::Program& program = program_future.get();
             const dta::DelayTable& table = table_future.get();
@@ -343,8 +341,7 @@ SweepResult SweepEngine::run(const SweepSpec& raw_spec, const SweepRunOptions& o
                 // scheduling; on success the later fetches alias the
                 // earlier ones (the artifacts are built exactly once).
                 auto cell_table =
-                    cache_->delay_table(job.design, analyzer_config, flow_threads, options.cancel,
-                                        options.reference_characterization);
+                    cache_->delay_table(job.design, analyzer_config, flow_threads, options.cancel);
                 auto cell_trace = cache_->trace(job.kernel);
                 auto cell_unit = cache_->unit_trace_delays(job.kernel, job.design);
                 cell_table.get();
@@ -454,8 +451,8 @@ SweepResult SweepEngine::run(const SweepSpec& raw_spec, const SweepRunOptions& o
         result.mean_eff_freq_mhz /= static_cast<double>(result.cells_ok);
         result.mean_speedup /= static_cast<double>(result.cells_ok);
     }
-    result.characterizations = cache_->characterizations_built() - tables_before;
     result.nominal_passes = cache_->nominal_passes() - nominal_before;
+    result.characterizations = result.nominal_passes;
     result.scaled_views = cache_->scaled_views() - views_before;
     result.cache_hits = cache_->cache_hits() - hits_before;
     result.guest_simulations = mode_ == EvalMode::kReplay

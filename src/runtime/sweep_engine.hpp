@@ -105,12 +105,6 @@ struct SweepCell {
 /// reusable across runs with different failure handling).
 struct SweepRunOptions {
     FailureMode failure_mode = FailureMode::kKeepGoing;
-    /// Characterize every operating point with the full per-voltage
-    /// gate-level flow (CLI --reference-characterization) instead of
-    /// deriving scaled views of the shared nominal table. Never affects
-    /// results — the views are bit-identical to the reference — only how
-    /// the tables are produced (V characterizations instead of 1).
-    bool reference_characterization = false;
     /// Optional cooperative cancellation (deadline- or caller-driven),
     /// polled at cell boundaries and threaded into artifact builds and the
     /// replay block loop. Cells not finished when the token fires are
@@ -119,7 +113,7 @@ struct SweepRunOptions {
     const CancellationToken* cancel = nullptr;
 };
 
-/// Run-dependent observability block stamped into the focs-sweep-v5 timing
+/// Run-dependent observability block stamped into the focs-sweep-v6 timing
 /// header: per-artifact-class cache outcomes (deltas of the cache's
 /// embedded registry over this sweep) and the per-cell wall-time
 /// distribution. Misses are deterministic (exactly-once builds); the
@@ -147,13 +141,11 @@ struct SweepResult {
     int jobs = 0;                  ///< worker threads actually used
     std::string mode;              ///< eval_mode_name of the executing engine
     double wall_ms = 0;
-    /// Gate-level characterization flows this sweep executed (nominal +
-    /// reference passes; NOT derived scaled views). Exactly 1 on a cold
-    /// cache regardless of the voltage-axis width, unless
-    /// reference_characterization forces one per operating point.
+    /// Gate-level characterization flows this sweep executed (NOT derived
+    /// scaled views): exactly 1 on a cold cache regardless of the voltage-
+    /// axis width, 0 when warm or pre-seeded. `nominal_passes` carries the
+    /// same count under its cache-counter name; the v6 header stamps both.
     std::uint64_t characterizations = 0;
-    /// Nominal characterization passes this sweep executed (cold cache: 1;
-    /// warm or pre-seeded: 0; reference mode: 0).
     std::uint64_t nominal_passes = 0;
     /// Per-voltage delay tables derived as DelayTable::scaled views of the
     /// shared nominal entry (cold cache: one per operating point).

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <limits>
 
 #include "common/error.hpp"
 #include "common/strings.hpp"
@@ -17,6 +18,19 @@ namespace {
 /// is far above any realistic ring-oscillator tap count.
 constexpr std::int64_t kMaxTaps = 4096;
 
+/// Upper bound on the sources of one pll: bank. A multi-PLL bank has a
+/// handful of outputs; the cap keeps one spec line from building a bank,
+/// and a cell label every result row repeats, with millions of entries.
+constexpr std::size_t kMaxPllSources = 64;
+
+/// Upper bound on guard_ps. The guard is added to every characterized LUT
+/// entry before the clamp to the static period, which spans ~0.8 ns (0.90 V)
+/// to ~5 ns (0.50 V). A guard of the order of the static period clamps every
+/// entry, so the LUT policy degenerates to static clocking and reports a
+/// meaningless ~1.0x. 1 ns is half the nominal (0.70 V) static period and
+/// 40x the default 25 ps guard, far above any realistic margin.
+constexpr double kMaxGuardPs = 1000.0;
+
 std::string format_double(double value) {
     char buf[64];
     std::snprintf(buf, sizeof buf, "%.17g", value);
@@ -30,10 +44,19 @@ double parse_double(const std::string& text) {
         check(pos == text.size(), "trailing characters in number '" + text + "'");
         return value;
     } catch (const std::invalid_argument&) {
-        throw Error("malformed number '" + text + "' in sweep spec");
+        throw Error("malformed number '" + text + "'");
     } catch (const std::out_of_range&) {
-        throw Error("number out of range '" + text + "' in sweep spec");
+        throw Error("number out of range '" + text + "'");
     }
+}
+
+/// Parses a non-negative integer that must fit the int field it lands in
+/// (a bare cast would wrap 99999999999 to 1215752191).
+int parse_count(const std::string& text, const std::string& what) {
+    const auto n = parse_int(text);
+    check(n.has_value() && *n >= 0 && *n <= std::numeric_limits<int>::max(),
+          "bad " + what + " '" + text + "'");
+    return static_cast<int>(*n);
 }
 
 std::vector<std::string> split_list(const std::string& value) {
@@ -86,9 +109,10 @@ GeneratorSpec GeneratorSpec::parse(const std::string& text) {
             spec.periods_ps.push_back(period_ps);
         }
         check(!spec.periods_ps.empty(), "generator '" + text + "': no PLL periods");
-        const auto dwell = parse_int(parts[1]);
-        check(dwell.has_value() && *dwell >= 0, "generator '" + text + "': bad dwell");
-        spec.min_dwell_cycles = static_cast<int>(*dwell);
+        check(spec.periods_ps.size() <= kMaxPllSources,
+              "generator '" + text + "': at most " + std::to_string(kMaxPllSources) +
+                  " PLL periods");
+        spec.min_dwell_cycles = parse_count(parts[1], "generator '" + text + "' dwell");
         return spec;
     }
     throw Error("unknown generator '" + text + "' (ideal|taps:N|pll:P1/P2/...:DWELL)");
@@ -108,6 +132,18 @@ std::unique_ptr<clocking::ClockGenerator> GeneratorSpec::instantiate(
     }
     check(false, "unknown generator kind");
     return nullptr;
+}
+
+double parse_voltage(const std::string& text) {
+    // Only the cell library's calibrated range is physical: outside it the
+    // delay model would extrapolate plausible-looking numbers.
+    const timing::CellLibrary& library = timing::CellLibrary::fdsoi28();
+    const double v = parse_double(text);
+    if (std::isfinite(v) && v >= library.min_voltage() && v <= library.max_voltage()) return v;
+    char range[64];
+    std::snprintf(range, sizeof range, "%.2f-%.2f V", library.min_voltage(),
+                  library.max_voltage());
+    throw Error("voltage '" + text + "' outside the cell library's calibrated " + range);
 }
 
 SweepSpec SweepSpec::resolved() const {
@@ -161,17 +197,8 @@ SweepSpec SweepSpec::parse(const std::string& text) {
                 spec.generators.push_back(GeneratorSpec::parse(label));
             }
         } else if (key == "voltages") {
-            // Only the cell library's calibrated range is physical: outside
-            // it the delay model would extrapolate plausible-looking numbers.
-            const timing::CellLibrary& library = timing::CellLibrary::fdsoi28();
-            char range[64];
-            std::snprintf(range, sizeof range, "%.2f-%.2f V", library.min_voltage(),
-                          library.max_voltage());
             for (const auto& voltage : split_list(value)) {
-                const double v = parse_double(voltage);
-                check(std::isfinite(v) && v >= library.min_voltage() && v <= library.max_voltage(),
-                      "voltage '" + voltage + "' outside the cell library's calibrated " + range);
-                spec.voltages_v.push_back(v);
+                spec.voltages_v.push_back(parse_voltage(voltage));
             }
         } else if (key == "variant") {
             if (value == "conventional") {
@@ -183,14 +210,13 @@ SweepSpec SweepSpec::parse(const std::string& text) {
             }
         } else if (key == "guard_ps") {
             spec.lut_guard_ps = parse_double(value);
+            check(std::isfinite(spec.lut_guard_ps) && spec.lut_guard_ps >= 0 &&
+                      spec.lut_guard_ps <= kMaxGuardPs,
+                  "guard_ps '" + value + "' outside [0, " + format_double(kMaxGuardPs) + "] ps");
         } else if (key == "min_occurrences") {
-            const auto n = parse_int(value);
-            check(n.has_value() && *n >= 0, "bad min_occurrences '" + value + "'");
-            spec.min_occurrences = static_cast<int>(*n);
+            spec.min_occurrences = parse_count(value, "min_occurrences");
         } else if (key == "jobs") {
-            const auto n = parse_int(value);
-            check(n.has_value() && *n >= 0, "bad jobs '" + value + "'");
-            spec.jobs = static_cast<int>(*n);
+            spec.jobs = parse_count(value, "jobs");
         } else {
             throw Error("unknown sweep spec key '" + key + "'");
         }

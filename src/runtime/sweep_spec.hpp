@@ -39,6 +39,11 @@ struct GeneratorSpec {
     std::unique_ptr<clocking::ClockGenerator> instantiate(double static_period_ps) const;
 };
 
+/// Parses one operating voltage (V) and checks that it lies in the cell
+/// library's calibrated range; throws focs::Error otherwise. Shared by the
+/// spec's `voltages` key and the CLI's --voltage.
+double parse_voltage(const std::string& text);
+
 /// The full sweep grid plus execution knobs. Empty axis vectors mean the
 /// natural default (full benchmark suite, lut policy, ideal generator, the
 /// design's default voltage).
@@ -70,8 +75,10 @@ struct SweepSpec {
     /// kernels, policies, generators, voltages, variant, guard_ps,
     /// min_occurrences, jobs. Out-of-domain values are usage errors
     /// (focs::Error) here, before any build: voltages outside the cell
-    /// library's calibrated range, taps:N above a fixed cap, PLL periods
-    /// that are not finite and positive, non-finite policy parameters.
+    /// library's calibrated range, taps:N or PLL source counts above a fixed
+    /// cap, PLL periods that are not finite and positive, non-finite policy
+    /// parameters, guard_ps outside [0, 1000] ps, and integers that do not
+    /// fit their field.
     static SweepSpec parse(const std::string& text);
     std::string serialize() const;
 };

@@ -191,10 +191,10 @@ TEST(Flows, CharacterizationProducesCompleteTable) {
     }
 }
 
-TEST(Flows, StreamingMatchesMaterializedAcrossKernelsAndVoltages) {
-    // The acceptance bar of the streaming characterization path: for every
-    // operating point, the single-pass streaming flow and the materialized
-    // merged-log flow must serialize byte-identical delay tables.
+TEST(Flows, BatchedMatchesOfflineAcrossKernelsAndVoltages) {
+    // The acceptance bar of the batched characterization engine: for every
+    // operating point and thread count it must serialize the same delay
+    // table as the offline oracle (materialized event log, then analyze()).
     const std::vector<assembler::Program> programs = workloads::assemble_programs(
         {workloads::find_kernel("crc32"), workloads::find_kernel("fir"),
          workloads::find_kernel("bubblesort"), workloads::find_kernel("fsm")});
@@ -202,32 +202,18 @@ TEST(Flows, StreamingMatchesMaterializedAcrossKernelsAndVoltages) {
         timing::DesignConfig design;
         design.voltage_v = voltage;
         const CharacterizationFlow flow(design);
-        const auto streaming = flow.run(programs, CharacterizationMode::kStreaming);
-        const auto materialized = flow.run(programs, CharacterizationMode::kMaterialized);
-        EXPECT_EQ(streaming.table.serialize(), materialized.table.serialize()) << voltage;
-        EXPECT_EQ(streaming.cycles, materialized.cycles) << voltage;
-        EXPECT_DOUBLE_EQ(streaming.genie_mean_period_ps, materialized.genie_mean_period_ps)
-            << voltage;
-        // Only the materialized mode exposes the merged gate-level log for
-        // offline dumps; its text round trip re-derives the same LUT.
-        EXPECT_EQ(streaming.event_log, nullptr);
-        ASSERT_NE(materialized.event_log, nullptr);
-        ASSERT_NE(materialized.trace, nullptr);
-        EXPECT_EQ(materialized.event_log->size(),
-                  materialized.trace->size() * flow.netlist().endpoints().size());
-
-        // The batched engine (the default mode) must agree too, serial and
-        // with intra-flow worker threads.
+        const auto offline = flow.run_offline(programs);
+        // Only the offline analysis keeps the per-cycle delay vector.
+        EXPECT_EQ(offline.analysis->cycle_stage_delays().size(), offline.cycles) << voltage;
         for (const int threads : {1, 4}) {
             CharacterizationOptions options;
             options.threads = threads;
-            options.batch_cycles = 311;  // odd boundary on purpose
             const auto batched = flow.run(programs, options);
-            EXPECT_EQ(batched.table.serialize(), streaming.table.serialize())
+            EXPECT_EQ(batched.table.serialize(), offline.table.serialize())
                 << voltage << " threads " << threads;
-            EXPECT_EQ(batched.cycles, streaming.cycles);
-            EXPECT_DOUBLE_EQ(batched.genie_mean_period_ps, streaming.genie_mean_period_ps);
-            EXPECT_EQ(batched.event_log, nullptr);
+            EXPECT_EQ(batched.cycles, offline.cycles);
+            EXPECT_DOUBLE_EQ(batched.genie_mean_period_ps, offline.genie_mean_period_ps);
+            EXPECT_TRUE(batched.analysis->cycle_stage_delays().empty());
         }
     }
 }

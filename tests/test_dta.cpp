@@ -327,86 +327,6 @@ TEST(Analyzer, OfflineFileFlowMatchesInMemory) {
     EXPECT_NEAR(direct.genie_mean_period_ps(), offline.genie_mean_period_ps(), 1e-3);
 }
 
-// ---- Streaming (EventSink) ingestion ----------------------------------------
-
-/// Runs one kernel through a streaming gate-sim into `analysis`.
-void run_gatesim_streaming(const std::string& kernel_name, DynamicTimingAnalysis& analysis) {
-    const timing::DesignConfig design;
-    static const auto netlist = timing::SyntheticNetlist::generate({});
-    const timing::DelayCalculator calculator(design);
-    sim::Machine machine;
-    machine.load(assembler::assemble(workloads::find_kernel(kernel_name).source));
-    GateLevelSimulation gatesim(netlist, calculator, analysis);
-    machine.run(&gatesim);
-    // Streaming mode materializes nothing in the observer.
-    EXPECT_EQ(gatesim.event_log().size(), 0u);
-    EXPECT_EQ(gatesim.trace().size(), 0u);
-    EXPECT_TRUE(gatesim.reference_delays().empty());
-    EXPECT_GT(gatesim.cycles_observed(), 0u);
-}
-
-TEST(StreamingAnalyzer, ByteIdenticalTableAndStatsVsMaterialized) {
-    AnalyzerConfig config;
-    config.static_period_ps = timing::DelayCalculator({}).static_period_ps();
-    const auto spec = PipelineSpec::from_netlist(timing::SyntheticNetlist::generate({}));
-
-    // Chain three kernels through ONE streaming analyzer...
-    DynamicTimingAnalysis streaming(spec, config);
-    for (const char* kernel : {"crc32", "fir", "bubblesort"}) {
-        run_gatesim_streaming(kernel, streaming);
-    }
-
-    // ...and compare against a materialized merged-log analysis of the same
-    // concatenated cycle stream.
-    EventLog merged_log;
-    OccupancyTrace merged_trace;
-    std::uint64_t offset = 0;
-    for (const char* kernel : {"crc32", "fir", "bubblesort"}) {
-        const auto artifacts = run_gatesim(kernel);
-        merged_log.append_shifted(artifacts.log, offset);
-        merged_trace.append_shifted(artifacts.trace, offset);
-        offset += artifacts.trace.size();
-    }
-    DynamicTimingAnalysis materialized(spec, config);
-    materialized.analyze(merged_log, merged_trace);
-
-    EXPECT_EQ(streaming.cycles(), materialized.cycles());
-    EXPECT_EQ(streaming.build_delay_table().serialize(),
-              materialized.build_delay_table().serialize());
-    EXPECT_DOUBLE_EQ(streaming.genie_mean_period_ps(), materialized.genie_mean_period_ps());
-    EXPECT_EQ(streaming.limiting_stage_counts(), materialized.limiting_stage_counts());
-    for (OccKey key = 0; key < kKeyCount; ++key) {
-        for (int s = 0; s < sim::kStageCount; ++s) {
-            const auto& a = streaming.stats(key, static_cast<Stage>(s));
-            const auto& b = materialized.stats(key, static_cast<Stage>(s));
-            ASSERT_EQ(a.occurrences, b.occurrences);
-            ASSERT_DOUBLE_EQ(a.max_ps, b.max_ps);
-        }
-    }
-    // Streaming keeps no per-cycle vector; its figure accumulators still
-    // agree with the exact statistics.
-    EXPECT_TRUE(streaming.cycle_stage_delays().empty());
-    const Histogram genie = streaming.genie_histogram(40);
-    EXPECT_EQ(genie.total(), streaming.cycles());
-    EXPECT_NEAR(genie.stats().mean(), streaming.genie_mean_period_ps(), 1e-9);
-}
-
-TEST(StreamingAnalyzer, RejectsMixingModes) {
-    AnalyzerConfig config;
-    config.static_period_ps = timing::DelayCalculator({}).static_period_ps();
-    const auto spec = PipelineSpec::from_netlist(timing::SyntheticNetlist::generate({}));
-    const auto artifacts = run_gatesim("fibcall");
-
-    DynamicTimingAnalysis streamed(spec, config);
-    run_gatesim_streaming("fibcall", streamed);
-    EXPECT_THROW(streamed.analyze(artifacts.log, artifacts.trace), Error);
-
-    DynamicTimingAnalysis analyzed(spec, config);
-    analyzed.analyze(artifacts.log, artifacts.trace);
-    TraceEntry entry;
-    EXPECT_THROW(analyzed.consume_cycle(entry, {}), Error);
-}
-
 // ---- Batched characterization engine ----------------------------------------
 
 /// Runs `kernels` through ONE batched engine (threads/batch from `options`)
@@ -437,16 +357,32 @@ void expect_identical_histograms(const Histogram& a, const Histogram& b) {
     ASSERT_DOUBLE_EQ(a.stats().max(), b.stats().max());
 }
 
+/// Offline analysis of `kernels` run back to back: their event logs and
+/// traces concatenated onto one timeline, as CharacterizationFlow::
+/// run_offline does.
+void analyze_offline(const std::vector<const char*>& kernels, DynamicTimingAnalysis& analysis) {
+    EventLog log;
+    OccupancyTrace trace;
+    std::uint64_t offset = 0;
+    for (const char* kernel : kernels) {
+        const auto artifacts = run_gatesim(kernel);
+        log.append_shifted(artifacts.log, offset);
+        trace.append_shifted(artifacts.trace, offset);
+        offset += artifacts.trace.size();
+    }
+    analysis.analyze(log, trace);
+}
+
 TEST(BatchedCharacterization, ByteIdenticalAcrossWorkersAndBatchBoundaries) {
     AnalyzerConfig config;
     config.static_period_ps = timing::DelayCalculator({}).static_period_ps();
     const auto spec = PipelineSpec::from_netlist(timing::SyntheticNetlist::generate({}));
     const std::vector<const char*> kernels = {"crc32", "fir", "bubblesort"};
 
-    // Serial streaming reference: the per-cycle EventSink path.
-    DynamicTimingAnalysis streaming(spec, config);
-    for (const char* kernel : kernels) run_gatesim_streaming(kernel, streaming);
-    const std::string reference_table = streaming.build_delay_table().serialize();
+    // The oracle: offline analysis of the materialized event log.
+    DynamicTimingAnalysis offline(spec, config);
+    analyze_offline(kernels, offline);
+    const std::string reference_table = offline.build_delay_table().serialize();
 
     // Worker counts around the shard edges (1 = inline serial kernel, 8 >
     // stages) and batch sizes hitting odd block boundaries: every cycle its
@@ -463,28 +399,36 @@ TEST(BatchedCharacterization, ByteIdenticalAcrossWorkersAndBatchBoundaries) {
         DynamicTimingAnalysis batched(spec, config);
         characterize_batched(kernels, batched, options);
 
-        EXPECT_EQ(batched.cycles(), streaming.cycles());
+        EXPECT_EQ(batched.cycles(), offline.cycles());
         EXPECT_EQ(batched.build_delay_table().serialize(), reference_table);
-        EXPECT_DOUBLE_EQ(batched.genie_mean_period_ps(), streaming.genie_mean_period_ps());
-        EXPECT_EQ(batched.limiting_stage_counts(), streaming.limiting_stage_counts());
-        expect_identical_histograms(batched.genie_histogram(40), streaming.genie_histogram(40));
-        for (int s = 0; s < sim::kStageCount; ++s) {
-            const auto stage = static_cast<Stage>(s);
-            expect_identical_histograms(batched.stage_histogram(stage, 50),
-                                        streaming.stage_histogram(stage, 50));
+        EXPECT_DOUBLE_EQ(batched.genie_mean_period_ps(), offline.genie_mean_period_ps());
+        EXPECT_EQ(batched.limiting_stage_counts(), offline.limiting_stage_counts());
+        // The batched figure histograms are coarsened from a fixed fine
+        // binning; the offline ones bin the per-cycle vector directly. Every
+        // bin count the figures use must still agree bin for bin.
+        for (const int bins : {32, 40, 50}) {
+            SCOPED_TRACE(std::to_string(bins) + " bins");
+            expect_identical_histograms(batched.genie_histogram(bins),
+                                        offline.genie_histogram(bins));
+            for (int s = 0; s < sim::kStageCount; ++s) {
+                const auto stage = static_cast<Stage>(s);
+                expect_identical_histograms(batched.stage_histogram(stage, bins),
+                                            offline.stage_histogram(stage, bins));
+            }
         }
         for (OccKey key = 0; key < kKeyCount; ++key) {
             for (int s = 0; s < sim::kStageCount; ++s) {
                 const auto stage = static_cast<Stage>(s);
                 const auto& a = batched.stats(key, stage);
-                const auto& b = streaming.stats(key, stage);
+                const auto& b = offline.stats(key, stage);
                 ASSERT_EQ(a.occurrences, b.occurrences);
                 ASSERT_DOUBLE_EQ(a.max_ps, b.max_ps);
+                ASSERT_DOUBLE_EQ(a.stats.mean(), b.stats.mean());
                 // The deterministic reservoir retains identical samples, so
                 // even the per-(instruction, stage) histograms match.
                 if (a.occurrences > 0) {
                     expect_identical_histograms(batched.key_stage_histogram(key, stage),
-                                                streaming.key_stage_histogram(key, stage));
+                                                offline.key_stage_histogram(key, stage));
                 }
             }
         }
@@ -505,6 +449,22 @@ TEST(BatchedCharacterization, RejectsUseAfterFinish) {
     engine.finish();
     EXPECT_THROW(engine.on_cycle(sim::CycleRecord{}), Error);
     engine.finish();  // idempotent
+}
+
+TEST(StreamingAnalyzer, RejectsMixingModes) {
+    AnalyzerConfig config;
+    config.static_period_ps = timing::DelayCalculator({}).static_period_ps();
+    const auto spec = PipelineSpec::from_netlist(timing::SyntheticNetlist::generate({}));
+    const auto artifacts = run_gatesim("fibcall");
+
+    DynamicTimingAnalysis batched(spec, config);
+    characterize_batched({"fibcall"}, batched, {});
+    EXPECT_THROW(batched.analyze(artifacts.log, artifacts.trace), Error);
+
+    DynamicTimingAnalysis analyzed(spec, config);
+    analyzed.analyze(artifacts.log, artifacts.trace);
+    const FoldedCycle cycle;
+    EXPECT_THROW(analyzed.consume_batch({&cycle, 1}), Error);
 }
 
 TEST(Analyzer, SampleCapBoundsHistogramMemory) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -214,8 +215,7 @@ TEST(SweepEngine, VoltageAxisPaysOneNominalCharacterization) {
     EXPECT_EQ(result.characterizations, 1u);
     EXPECT_EQ(result.nominal_passes, 1u);
     EXPECT_EQ(result.scaled_views, 2u);
-    EXPECT_EQ(cache->characterizations_built(), 1u);
-    EXPECT_EQ(cache->reference_passes(), 0u);
+    EXPECT_EQ(cache->nominal_passes(), 1u);
 
     // A second sweep over the same grid is served entirely from the cache.
     const SweepResult again = engine.run(spec);
@@ -226,26 +226,31 @@ TEST(SweepEngine, VoltageAxisPaysOneNominalCharacterization) {
 }
 
 TEST(SweepEngine, ReferenceCharacterizationIsByteIdenticalToScaledViews) {
-    // The escape hatch characterizes every operating point with the full
-    // per-voltage flow; canonical output must be byte-identical to the
-    // nominal-once scaled-view path.
+    // The nominal-once collapse against its oracle at the sweep level: a
+    // cache pre-seeded with a full per-voltage characterization of every
+    // operating point must yield the same canonical document as the scaled
+    // views of the one nominal table.
     SweepSpec spec = small_spec();
     spec.voltages_v = {0.62, 0.70, 0.78};
 
-    auto derived_cache = std::make_shared<ArtifactCache>();
-    const SweepResult derived = SweepEngine(4, derived_cache).run(spec);
+    const SweepResult derived = SweepEngine(4).run(spec);
 
     auto reference_cache = std::make_shared<ArtifactCache>();
-    SweepRunOptions options;
-    options.reference_characterization = true;
-    const SweepResult reference = SweepEngine(4, reference_cache).run(spec, options);
+    const dta::AnalyzerConfig analyzer_config = SweepEngine::analyzer_config_for(spec);
+    const auto programs = workloads::assemble_programs(workloads::characterization_suite());
+    for (const double voltage : spec.voltages_v) {
+        const timing::DesignConfig design = spec.design_for(voltage);
+        reference_cache->put_delay_table(
+            design, analyzer_config,
+            core::CharacterizationFlow(design, analyzer_config).run(programs).table);
+    }
+    const SweepResult reference = SweepEngine(4, reference_cache).run(spec);
 
     EXPECT_EQ(derived.nominal_passes, 1u);
     EXPECT_EQ(derived.scaled_views, 3u);
+    EXPECT_EQ(reference.characterizations, 0u);
     EXPECT_EQ(reference.nominal_passes, 0u);
     EXPECT_EQ(reference.scaled_views, 0u);
-    EXPECT_EQ(reference.characterizations, 3u);
-    EXPECT_EQ(reference_cache->reference_passes(), 3u);
     EXPECT_EQ(to_json(derived, false), to_json(reference, false));
 }
 
@@ -280,7 +285,7 @@ TEST(SweepEngine, PreseededTableSkipsCharacterization) {
                            dta::DelayTable(1000.0));
     const SweepResult result = engine.run(spec);
     EXPECT_EQ(result.characterizations, 0u);
-    EXPECT_EQ(cache->characterizations_built(), 0u);
+    EXPECT_EQ(cache->nominal_passes(), 0u);
 }
 
 TEST(SweepEngine, KeepGoingIsolatesFailedCellsAcrossJobCounts) {
@@ -421,103 +426,29 @@ TEST(ResultIo, JsonRoundTripIsLossless) {
     EXPECT_EQ(to_json(parsed), json);
 }
 
-TEST(ResultIo, ParsesOlderSchemaDocuments) {
-    // Artifacts produced by older builds must still load, with the absent
-    // fields left zero: v3 lacks the metrics block and per-cell timing, v2
-    // additionally lacks the voltage-axis counters.
-    const SweepEngine engine(1);
+TEST(ResultIo, RejectsOlderSchemaAndMissingSpecStamp) {
     SweepSpec spec = small_spec();
     spec.kernels = {"crc32"};
-    const SweepResult result = engine.run(spec);
-
-    // Reconstruct a v5 document from the v6 emission: rename the schema
-    // string and drop the characterization-collapse counters.
-    std::string v5 = to_json(result);
-    const auto v6_at = v5.find("focs-sweep-v6");
-    ASSERT_NE(v6_at, std::string::npos);
-    v5.replace(v6_at, 13, "focs-sweep-v5");
-    const auto nominal_at = v5.find("  \"nominal_passes\"");
-    ASSERT_NE(nominal_at, std::string::npos);
-    const auto views_end = v5.find('\n', v5.find("\"scaled_views\""));
-    ASSERT_NE(views_end, std::string::npos);
-    v5.erase(nominal_at, views_end + 1 - nominal_at);
-    const SweepResult parsed_v5 = from_json(v5);
-    EXPECT_EQ(parsed_v5.nominal_passes, 0u);
-    EXPECT_EQ(parsed_v5.scaled_views, 0u);
-    EXPECT_EQ(parsed_v5.characterizations, result.characterizations);
-
-    // A v4 document on top: an all-ok sweep's wire format is identical,
-    // only the schema string changed — so the rename alone produces a
-    // faithful v4 artifact.
-    std::string v4 = v5;
-    const auto v5_at = v4.find("focs-sweep-v5");
-    ASSERT_NE(v5_at, std::string::npos);
-    v4.replace(v5_at, 13, "focs-sweep-v4");
-    const SweepResult parsed_v4 = from_json(v4);
-    EXPECT_EQ(parsed_v4.unit_delay_passes, result.unit_delay_passes);
-    // The per-status counts are derived from the cells when the header
-    // (of any pre-v5 vintage) lacks them.
-    EXPECT_EQ(parsed_v4.cells_ok, result.cells.size());
-    EXPECT_EQ(parsed_v4.cells_failed, 0u);
-
-    // Then a v3 document on top: rename the schema, drop the metrics block
-    // and the per-cell timing fields.
-    std::string v3 = v4;
-    const auto schema_at = v3.find("focs-sweep-v4");
-    ASSERT_NE(schema_at, std::string::npos);
-    v3.replace(schema_at, 13, "focs-sweep-v3");
-    const auto metrics_at = v3.find("  \"metrics\": ");
-    ASSERT_NE(metrics_at, std::string::npos);
-    const auto metrics_end = v3.find("  \"mean_eff_freq_mhz\"", metrics_at);
-    ASSERT_NE(metrics_end, std::string::npos);
-    v3.erase(metrics_at, metrics_end - metrics_at);
-    for (std::size_t at = v3.find(", \"wall_ms\""); at != std::string::npos;
-         at = v3.find(", \"wall_ms\"")) {
-        const auto guest_at = v3.find(", \"guest\"", at);
-        ASSERT_NE(guest_at, std::string::npos);
-        v3.erase(at, guest_at - at);
-    }
-
-    const SweepResult parsed_v3 = from_json(v3);
-    EXPECT_EQ(parsed_v3.metrics.trace.miss, 0u);
-    EXPECT_EQ(parsed_v3.metrics.cell_wall_ms_p95, 0.0);
-    EXPECT_EQ(parsed_v3.cells[0].wall_ms, 0.0);
-    EXPECT_EQ(parsed_v3.unit_delay_passes, result.unit_delay_passes);
-    EXPECT_EQ(parsed_v3.spec_hash, result.spec_hash);
-
-    // And a v2 document on top: no unit-delay counters either.
-    std::string v2 = v3;
-    v2.replace(v2.find("focs-sweep-v3"), 13, "focs-sweep-v2");
-    const auto passes_at = v2.find("  \"unit_delay_passes\"");
-    ASSERT_NE(passes_at, std::string::npos);
-    const auto reuses_end = v2.find('\n', v2.find("\"unit_delay_reuses\""));
-    v2.erase(passes_at, reuses_end + 1 - passes_at);
-
-    const SweepResult parsed = from_json(v2);
-    EXPECT_EQ(parsed.unit_delay_passes, 0u);
-    EXPECT_EQ(parsed.unit_delay_reuses, 0u);
-    EXPECT_EQ(parsed.spec_hash, result.spec_hash);
-    ASSERT_EQ(parsed.cells.size(), result.cells.size());
-    EXPECT_EQ(parsed.cells[0].result.total_time_ps, result.cells[0].result.total_time_ps);
-
-    // v1 on top of that: pre-replay, no spec stamp.
-    std::string v1 = v2;
-    v1.replace(v1.find("focs-sweep-v2"), 13, "focs-sweep-v1");
-    const auto spec_at = v1.find("  \"spec\"");
+    const std::string json = to_json(SweepEngine(1).run(spec));
+    // Only focs-sweep-v6 is read: the same document under the v5 schema
+    // string is refused, not parsed with fields silently left zero.
+    std::string v5 = json;
+    v5.replace(v5.find("focs-sweep-v6"), 13, "focs-sweep-v5");
+    EXPECT_THROW(from_json(v5), Error);
+    // The spec stamp is required.
+    std::string unstamped = json;
+    const auto spec_at = unstamped.find("  \"spec\"");
     ASSERT_NE(spec_at, std::string::npos);
-    const auto spec_end = v1.find('\n', v1.find("\"spec_hash\""));
-    v1.erase(spec_at, spec_end + 1 - spec_at);
-    const SweepResult parsed_v1 = from_json(v1);
-    EXPECT_TRUE(parsed_v1.spec_hash.empty());
-    ASSERT_EQ(parsed_v1.cells.size(), result.cells.size());
-    EXPECT_EQ(parsed_v1.cells[0].result.cycles, result.cells[0].result.cycles);
+    const auto spec_end = unstamped.find('\n', unstamped.find("\"spec_hash\""));
+    unstamped.erase(spec_at, spec_end + 1 - spec_at);
+    EXPECT_THROW(from_json(unstamped), Error);
 }
 
 TEST(ResultIo, RejectsMalformedDocuments) {
     EXPECT_THROW(from_json(""), Error);
     EXPECT_THROW(from_json("{"), Error);
     EXPECT_THROW(from_json("{\"schema\": \"bogus\"}"), Error);
-    EXPECT_THROW(from_json("{\"schema\": \"focs-sweep-v1\"}"), Error);  // missing fields
+    EXPECT_THROW(from_json("{\"schema\": \"focs-sweep-v6\"}"), Error);  // missing fields
     EXPECT_THROW(from_json("{\"schema\": \"\\uZZZZ\"}"), Error);        // non-hex \u escape
     EXPECT_THROW(from_json("{\"schema\": \"\\u20ac\"}"), Error);  // beyond control range
 }
@@ -641,8 +572,30 @@ TEST(SweepSpec, RejectsBadInput) {
     EXPECT_THROW(SweepSpec::parse("generators = pll:1300/inf:4\n"), Error);
     EXPECT_THROW(SweepSpec::parse("generators = pll:nan:4\n"), Error);
     EXPECT_THROW(SweepSpec::parse("policies = dual-cycle:inf\n"), Error);
-    // The calibrated range's end points stay valid.
+    // A guard band outside [0, 1000] ps, or not finite, would either run
+    // with the default guard or clamp every LUT entry to static.
+    EXPECT_THROW(SweepSpec::parse("guard_ps = -5\n"), Error);
+    EXPECT_THROW(SweepSpec::parse("guard_ps = nan\n"), Error);
+    EXPECT_THROW(SweepSpec::parse("guard_ps = inf\n"), Error);
+    EXPECT_THROW(SweepSpec::parse("guard_ps = 1e300\n"), Error);
+    // Integers must fit their int field instead of wrapping on the cast.
+    EXPECT_THROW(SweepSpec::parse("min_occurrences = 99999999999\n"), Error);
+    EXPECT_THROW(SweepSpec::parse("jobs = 4294967297\n"), Error);
+    EXPECT_THROW(SweepSpec::parse("generators = pll:1300/1500:99999999999\n"), Error);
+    std::string many_sources = "generators = pll:1000";
+    for (int i = 1; i <= 64; ++i) many_sources.append("/").append(std::to_string(1000 + i));
+    EXPECT_THROW(SweepSpec::parse(many_sources + ":4\n"), Error);  // 65 sources
+    // The CLI's --voltage goes through the same check.
+    EXPECT_THROW(parse_voltage("5"), Error);
+    EXPECT_THROW(parse_voltage("0.2"), Error);
+    EXPECT_THROW(parse_voltage("nan"), Error);
+    EXPECT_THROW(parse_voltage("0.7V"), Error);
+    // The end points of every range stay valid.
+    EXPECT_EQ(parse_voltage("0.5"), 0.5);
     EXPECT_EQ(SweepSpec::parse("voltages = 0.5, 0.9\n").voltages_v.size(), 2u);
+    EXPECT_DOUBLE_EQ(SweepSpec::parse("guard_ps = 0\n").lut_guard_ps, 0.0);
+    EXPECT_DOUBLE_EQ(SweepSpec::parse("guard_ps = 1000\n").lut_guard_ps, 1000.0);
+    EXPECT_EQ(SweepSpec::parse("jobs = 2147483647\n").jobs, 2147483647);
 }
 
 TEST(SweepSpec, ResolvedFillsDefaults) {
@@ -656,11 +609,10 @@ TEST(SweepSpec, ResolvedFillsDefaults) {
     EXPECT_DOUBLE_EQ(resolved.voltages_v[0], timing::DesignConfig{}.voltage_v);
 }
 
-TEST(ArtifactCache, DelayTableMatchesStreamingFlowByteForByte) {
-    // The sweep runtime characterizes through the cache, which uses the
-    // streaming flow; a directly-run streaming AND a materialized flow must
-    // serialize the exact same table, so parallel sweeps built on the
-    // streaming path stay byte-identical to any offline reference.
+TEST(ArtifactCache, DelayTableMatchesOfflineFlowByteForByte) {
+    // The sweep runtime characterizes through the cache (the batched engine
+    // at the nominal point, then a scaled view); the offline oracle must
+    // serialize the exact same table.
     ArtifactCache cache;
     const timing::DesignConfig design;
     const dta::AnalyzerConfig analyzer_config =
@@ -669,10 +621,22 @@ TEST(ArtifactCache, DelayTableMatchesStreamingFlowByteForByte) {
 
     const core::CharacterizationFlow flow(design, analyzer_config);
     const auto programs = workloads::assemble_programs(workloads::characterization_suite());
-    const auto streaming = flow.run(programs, core::CharacterizationMode::kStreaming);
-    const auto materialized = flow.run(programs, core::CharacterizationMode::kMaterialized);
-    EXPECT_EQ(cached.serialize(), streaming.table.serialize());
-    EXPECT_EQ(cached.serialize(), materialized.table.serialize());
+    EXPECT_EQ(cached.serialize(), flow.run_offline(programs).table.serialize());
+}
+
+TEST(ArtifactCache, RejectsStaticPeriodOverride) {
+    // The scaled views rest on a pure delay-scale relation that an explicit
+    // static period breaks (and the cache key omits), so the request is
+    // refused before any builder is elected.
+    ArtifactCache cache;
+    dta::AnalyzerConfig analyzer_config =
+        SweepEngine::analyzer_config_for(SweepSpec{}.resolved());
+    for (const double static_period_ps : {1500.0, std::nan("")}) {
+        analyzer_config.static_period_ps = static_period_ps;
+        EXPECT_THROW(cache.delay_table(timing::DesignConfig{}, analyzer_config), Error);
+    }
+    EXPECT_EQ(cache.class_counters(ArtifactClass::kDelayTable).miss, 0u);
+    EXPECT_EQ(cache.nominal_passes(), 0u);
 }
 
 TEST(ArtifactCache, ProgramsAreSharedAndCounted) {
@@ -741,7 +705,7 @@ TEST(ArtifactCache, EvictsPoisonedEntryAndReelectsBuilderExactlyOnce) {
     EXPECT_EQ(stats.evicted, 1u);  // exactly one poisoned entry removed
     // Two builder elections in total: the poisoned one and its replacement.
     EXPECT_EQ(cache.class_counters(ArtifactClass::kDelayTable).miss, 2u);
-    EXPECT_EQ(cache.characterizations_built(), 1u);
+    EXPECT_EQ(cache.nominal_passes(), 1u);
 }
 
 TEST(ArtifactCache, CancelledBuildEvictsWithoutRetryAndRebuildsClean) {
@@ -768,7 +732,7 @@ TEST(ArtifactCache, CancelledBuildEvictsWithoutRetryAndRebuildsClean) {
     EXPECT_NO_THROW(cache.delay_table(design, analyzer_config).get());
     stats = cache.build_stats(ArtifactClass::kDelayTable);
     EXPECT_EQ(stats.built, 1u);
-    EXPECT_EQ(cache.characterizations_built(), 1u);
+    EXPECT_EQ(cache.nominal_passes(), 1u);
 }
 
 TEST(ArtifactCacheLru, EvictsLeastRecentlyUsedFirst) {

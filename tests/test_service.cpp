@@ -161,6 +161,8 @@ TEST(SweepService, RejectsMalformedRequests) {
             post_sweep(server.port(), "kernels = crc32\nvoltages = 1e308\n");
         EXPECT_EQ(bad_voltage.status, 400);
         EXPECT_NE(bad_voltage.body.find("calibrated"), std::string::npos);
+        // A non-finite guard band -> 400, never a run with the default guard.
+        EXPECT_EQ(post_sweep(server.port(), "kernels = crc32\nguard_ps = nan\n").status, 400);
 
         // Malformed deadline header -> 400 before admission.
         HttpRequest bad_deadline;
@@ -181,7 +183,7 @@ TEST(SweepService, RejectsMalformedRequests) {
         EXPECT_EQ(http_request(server.port(), wrong_method).status, 405);
 
         const ServerStats stats = server.stats();
-        EXPECT_EQ(stats.bad_request, 5u);
+        EXPECT_EQ(stats.bad_request, 6u);
         EXPECT_EQ(stats.served(), 0u);
     });
 }

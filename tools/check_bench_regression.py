@@ -4,18 +4,17 @@
 Compares a freshly measured artifact against the committed one and fails
 (exit 1) on a regression beyond the tolerance. Two classes of figures:
 
-- Ratio figures (replay vs live, batched vs streaming) are within-host
-  ratios of the same code path: they transfer across machines and are
-  enforced unconditionally.
+- Ratio figures (replay vs live) are within-host ratios of the same code
+  path: they transfer across machines and are enforced unconditionally.
 - Absolute throughput figures (replay_lut_cycles_per_s, the batched
   characterization series) and cross-code-path ratios (the voltage-axis
   amortization) only mean something on comparable hosts. Host
-  comparability is judged by the materialized characterization mode — the
-  legacy reference path no PR optimizes, so its throughput is a pure
-  host-speed proxy. When the fresh host's calibration figure deviates from
-  the committed one by more than --calibration-band, the absolute checks
-  are skipped (reported, not enforced) instead of producing false alarms
-  on slower/faster CI runners.
+  comparability is judged by the offline characterization oracle
+  (materialized_cycles_per_s) — the path no change optimizes, so its
+  throughput is a pure host-speed proxy. When the fresh host's
+  calibration figure deviates from the committed one by more than
+  --calibration-band, the absolute checks are skipped (reported, not
+  enforced) instead of producing false alarms on slower/faster CI runners.
 
 Usage:
   check_bench_regression.py --committed BENCH_sim_throughput.json \
@@ -42,7 +41,6 @@ def lookup(doc, dotted):
 # those transfer across machines.
 RATIO_FIGURES = [
     "evaluation.replay_speedup_vs_live",
-    "characterization.batched_speedup_vs_streaming",
 ]
 
 # Figures enforced only on comparable hosts: absolute throughputs, plus
@@ -53,7 +51,6 @@ ABSOLUTE_FIGURES = [
     "evaluation.replay_lut_cycles_per_s",
     "evaluation.lut_cycles_per_s",
     "characterization.characterization_batched_cycles_per_s.threads_1",
-    "characterization.streaming_cycles_per_s",
     "voltage_axis.delay_pass.axis_speedup",
     "characterization_axis.fused_replay_speedup",
 ]
@@ -77,9 +74,9 @@ FLOOR_FIGURES = {
     "service.warm_zero_build": 1.0,
     # The characterization-collapse contract: a 10-point voltage axis paid
     # as one nominal pass plus scaled views must be several times cheaper
-    # than 10 per-voltage reference passes (same code path run V times vs
+    # than 10 per-voltage characterizations (same code path run V times vs
     # once, so the ratio transfers across hosts), and the scaled views must
-    # serialize bit-identically to the reference tables (determinism bit).
+    # serialize bit-identically to the per-voltage tables (determinism bit).
     "characterization_axis.nominal_pass_speedup": 5.0,
     "characterization_axis.scaled_views_identical": 1.0,
 }

@@ -4,10 +4,9 @@
 //   focs asm <file.s|kernel:NAME>               assemble, print listing + symbols
 //   focs run <file.s|kernel:NAME> [--trace N]   run on the cycle-accurate core
 //   focs characterize [-o lut.txt] [--conventional] [--voltage V] [--jobs N]
-//                     [--batch N] [--streaming|--materialized]
 //                     [--metrics] [--trace-out trace.json]
 //                                               build the delay LUT (paper Fig. 2)
-//                                               batched engine by default; --jobs
+//                                               on the batched engine; --jobs
 //                                               adds endpoint-kernel workers
 //   focs evaluate <file.s|kernel:NAME> [--lut lut.txt] [--policy P] [--taps N]
 //                                               delay-annotated run; P in
@@ -21,7 +20,6 @@
 //                                               run the whole Fig. 8 suite
 //   focs sweep <spec.sweep> [--jobs N] [--replay|--live] [-o results.json]
 //              [--canonical] [--fail-fast] [--deadline-ms N] [--fault SPEC]
-//              [--reference-characterization]
 //                                               batch-evaluate a (kernel x
 //                                               policy x generator x voltage)
 //                                               grid on the parallel runtime.
@@ -42,12 +40,13 @@
 //
 // Exit codes: 0 = success (every cell evaluated), 2 = partial results (some
 // sweep cells failed or were cancelled; survivors were still written), 1 =
-// fatal error (bad usage, malformed spec, I/O failure, or --fail-fast
-// abort). Failed cells are isolated per cell by default; --fail-fast
-// restores abort-on-first-failure, --deadline-ms bounds the wall clock and
-// reports unfinished cells as cancelled, and --fault (or the FOCS_FAULT
-// environment variable) arms the deterministic fault injector — see
-// src/common/fault.hpp for the rule grammar.
+// fatal error (bad usage, including any flag the command does not accept;
+// malformed spec; I/O failure; or --fail-fast abort). Failed cells are
+// isolated per cell by default; --fail-fast restores abort-on-first-failure,
+// --deadline-ms bounds the wall clock and reports unfinished cells as
+// cancelled, and --fault (or the FOCS_FAULT environment variable) arms the
+// deterministic fault injector — see src/common/fault.hpp for the rule
+// grammar.
 //
 // Programs are read from a file path, or from the bundled workloads with
 // the "kernel:" prefix (e.g. kernel:crc32).
@@ -57,9 +56,11 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <unistd.h>
 #include <vector>
 
@@ -96,14 +97,14 @@ using namespace focs;
                  "  asm <file.s|kernel:NAME>\n"
                  "  run <file.s|kernel:NAME> [--trace N]\n"
                  "  characterize [-o lut.txt] [--conventional] [--voltage V] [--jobs N]\n"
-                 "               [--batch N] [--streaming|--materialized]\n"
+                 "               [--metrics] [--trace-out trace.json]\n"
                  "  evaluate <file.s|kernel:NAME> [--lut lut.txt] [--policy P] [--taps N]\n"
+                 "           [--voltage V]\n"
                  "  suite [--lut lut.txt] [--policy P] [--jobs N] [--replay|--live]\n"
                  "        [--metrics] [--trace-out trace.json]\n"
                  "  sweep <spec.sweep> [--jobs N] [--replay|--live] [-o results.json]\n"
                  "        [--canonical] [--metrics] [--trace-out trace.json]\n"
                  "        [--fail-fast] [--deadline-ms N] [--fault SPEC]\n"
-                 "        [--reference-characterization]\n"
                  "      --replay (default): simulate each kernel once, replay every\n"
                  "                          policy/generator cell from the cached trace\n"
                  "      --live:             full per-cell simulation (reference path)\n"
@@ -118,10 +119,6 @@ using namespace focs;
                  "      --fault SPEC:       arm the deterministic fault injector, e.g.\n"
                  "                          'build.delay_table:0.3:seed=7' (FOCS_FAULT\n"
                  "                          environment variable works too)\n"
-                 "      --reference-characterization:\n"
-                 "                          characterize every voltage point from scratch\n"
-                 "                          instead of scaling one nominal delay table;\n"
-                 "                          results are byte-identical either way\n"
                  "  stats <file.s|kernel:NAME> [--lut lut.txt]\n"
                  "  serve [--port N] [--max-inflight N] [--queue-depth N]\n"
                  "        [--deadline-default-ms X] [--cache-budget-mb N] [--jobs N]\n"
@@ -133,7 +130,7 @@ using namespace focs;
                  "      SIGTERM/SIGINT drains gracefully (twice: cancel in-flight).\n"
                  "  client --port N --spec FILE [-n N] [--concurrency C]\n"
                  "         [--deadline-ms X] [--canonical] [-o resp.json]\n"
-                 "         [--healthz|--metricsz]\n"
+                 "         [--host H] [--healthz|--metricsz]\n"
                  "      load generator: fires N concurrent sweep requests and prints the\n"
                  "      per-status outcome counts\n"
                  "exit codes: 0 success, 2 partial sweep results, 1 fatal error\n");
@@ -149,6 +146,57 @@ std::string load_source(const std::string& spec) {
     std::ostringstream buffer;
     buffer << in.rdbuf();
     return buffer.str();
+}
+
+/// The flags one command accepts: switches stand alone, valued flags take
+/// the next argument.
+struct CommandFlags {
+    std::vector<std::string_view> switches;
+    std::vector<std::string_view> valued;
+};
+
+/// Every command's flags, or nullptr for an unknown command.
+const CommandFlags* command_flags(const std::string& command) {
+    static const std::map<std::string, CommandFlags> table = {
+        {"kernels", {}},
+        {"asm", {}},
+        {"run", {{}, {"--trace"}}},
+        {"characterize",
+         {{"--conventional", "--metrics"}, {"-o", "--voltage", "--jobs", "--trace-out"}}},
+        {"evaluate", {{}, {"--lut", "--policy", "--taps", "--voltage"}}},
+        {"suite",
+         {{"--replay", "--live", "--metrics", "--fail-fast"},
+          {"--lut", "--policy", "--jobs", "--trace-out", "--deadline-ms", "--fault"}}},
+        {"sweep",
+         {{"--replay", "--live", "--canonical", "--metrics", "--fail-fast"},
+          {"--jobs", "-o", "--trace-out", "--deadline-ms", "--fault"}}},
+        {"stats", {{}, {"--lut"}}},
+        {"serve",
+         {{"--replay", "--live", "--metrics"},
+          {"--port", "--max-inflight", "--queue-depth", "--deadline-default-ms",
+           "--cache-budget-mb", "--jobs", "--trace-out", "--fault"}}},
+        {"client",
+         {{"--healthz", "--metricsz", "--canonical"},
+          {"--port", "--host", "--spec", "-n", "--concurrency", "--deadline-ms", "-o"}}},
+    };
+    const auto it = table.find(command);
+    return it == table.end() ? nullptr : &it->second;
+}
+
+/// Rejects, as a usage error naming it, every argument that starts with '-'
+/// but is not one of `flags` (a valued flag's argument is its value, even
+/// when it starts with '-'), and a valued flag with no value after it.
+void check_flags(const std::string& command, const std::vector<std::string>& args,
+                 const CommandFlags& flags) {
+    const auto declared = [](const std::vector<std::string_view>& names, const std::string& arg) {
+        return std::find(names.begin(), names.end(), arg) != names.end();
+    };
+    for (std::size_t i = 0; i < args.size(); ++i) {
+        const std::string& arg = args[i];
+        if (arg.empty() || arg[0] != '-' || declared(flags.switches, arg)) continue;
+        if (!declared(flags.valued, arg)) throw Error(command + ": unknown flag " + arg);
+        if (++i == args.size()) throw Error(command + ": " + arg + " wants a value");
+    }
 }
 
 /// Simple flag scanner: returns the value following `name`, if present.
@@ -211,7 +259,6 @@ runtime::SweepRunOptions parse_run_options(const std::vector<std::string>& args,
     if (flag_present(args, "--fail-fast")) {
         options.failure_mode = runtime::FailureMode::kFailFast;
     }
-    options.reference_characterization = flag_present(args, "--reference-characterization");
     if (const auto ms = flag_value(args, "--deadline-ms")) {
         double value = 0;
         try {
@@ -323,40 +370,22 @@ int cmd_characterize(const std::vector<std::string>& args) {
     if (flag_present(args, "--conventional")) {
         design.variant = timing::DesignVariant::kConventional;
     }
-    if (const auto v = flag_value(args, "--voltage")) design.voltage_v = std::stod(*v);
+    if (const auto v = flag_value(args, "--voltage")) design.voltage_v = runtime::parse_voltage(*v);
 
-    // Batched engine by default; --jobs N adds intra-flow endpoint-kernel
-    // workers, --batch sizes the ring slots, --streaming/--materialized
-    // select the per-cycle reference paths. Every combination produces a
-    // byte-identical LUT.
+    // --jobs N adds intra-flow endpoint-kernel workers; the LUT is
+    // byte-identical at every thread count.
     core::CharacterizationOptions options;
     options.threads = std::max(1, parse_jobs(args));
     if (options.threads > 256) {
         throw Error("characterize --jobs wants an integer in [1, 256]");
     }
-    if (const auto batch = flag_value(args, "--batch")) {
-        const auto cycles = parse_int(*batch);
-        if (!cycles || *cycles < 1 || *cycles > (1 << 24)) {
-            throw Error("--batch wants a cycle count in [1, 16777216]");
-        }
-        options.batch_cycles = static_cast<int>(*cycles);
-    }
-    if (flag_present(args, "--streaming")) options.mode = core::CharacterizationMode::kStreaming;
-    if (flag_present(args, "--materialized")) {
-        options.mode = core::CharacterizationMode::kMaterialized;
-    }
 
     const core::CharacterizationFlow flow(design);
     const auto result =
         flow.run(workloads::assemble_programs(workloads::characterization_suite()), options);
-    std::printf("characterized %llu cycles at %.2f V (%s%s)\n",
+    std::printf("characterized %llu cycles at %.2f V (%d thread%s)\n",
                 static_cast<unsigned long long>(result.cycles), design.voltage_v,
-                options.mode == core::CharacterizationMode::kBatched        ? "batched"
-                : options.mode == core::CharacterizationMode::kStreaming    ? "streaming"
-                                                                            : "materialized",
-                options.mode == core::CharacterizationMode::kBatched && options.threads > 1
-                    ? (", " + std::to_string(options.threads) + " threads").c_str()
-                    : "");
+                options.threads, options.threads == 1 ? "" : "s");
     std::printf("T_static: %.1f ps (%.1f MHz)\n", result.static_period_ps,
                 focs::mhz_from_period_ps(result.static_period_ps));
     std::printf("genie mean period: %.1f ps (bound %.3fx)\n", result.genie_mean_period_ps,
@@ -375,7 +404,7 @@ int cmd_characterize(const std::vector<std::string>& args) {
 int cmd_evaluate(const std::vector<std::string>& args) {
     if (args.empty()) usage();
     timing::DesignConfig design;
-    if (const auto v = flag_value(args, "--voltage")) design.voltage_v = std::stod(*v);
+    if (const auto v = flag_value(args, "--voltage")) design.voltage_v = runtime::parse_voltage(*v);
     const auto program = assembler::assemble(load_source(args[0]));
     // Parse the policy before the (potentially expensive) table build so a
     // bad parameter is rejected immediately.
@@ -685,18 +714,10 @@ int main(int argc, char** argv) {
     const std::string command = argv[1];
     std::vector<std::string> args;
     for (int i = 2; i < argc; ++i) args.emplace_back(argv[i]);
+    const CommandFlags* flags = command_flags(command);
+    if (flags == nullptr) usage();
     try {
-        // --reference-characterization only means something where the
-        // runtime derives per-voltage delay tables (same usage taxonomy as
-        // a non-positive --deadline-ms: reject, exit 1).
-        if (command != "suite" && command != "sweep") {
-            for (const std::string& arg : args) {
-                if (arg == "--reference-characterization") {
-                    throw Error("--reference-characterization only applies to sweeping "
-                                "commands (suite, sweep)");
-                }
-            }
-        }
+        check_flags(command, args, *flags);
         if (command == "kernels") return cmd_kernels();
         if (command == "asm") return cmd_asm(args);
         if (command == "run") return cmd_run(args);
