@@ -6,9 +6,9 @@
 //      fused stage-major pass); every operating point is a ScaledTraceDelays
 //      view — the shared array plus one delay-scale scalar.
 //   3. Replay every bundled policy — including the promoted approx-lut and
-//      dual-cycle kinds, and a custom ClockPolicy through the generic
-//      fallback — against the same trace; each result is byte-identical to
-//      a live DcaEngine::run of that cell.
+//      dual-cycle kinds — against the same trace; each result is
+//      byte-identical to a live DcaEngine::run of that cell. A custom
+//      ClockPolicy has no replay kernel and runs live.
 //
 // Build & run:  ./build/example_replay_evaluation
 #include <cstdio>
@@ -63,12 +63,12 @@ int main() {
                     r.speedup_vs_static, static_cast<unsigned long long>(r.timing_violations));
     }
 
-    // Custom policies replay through the generic fallback — also against
-    // the shared ground truth (no delay-model pass per cell).
+    // A custom policy object (here an approx-lut scale off the bundled grid
+    // points) runs live: one more guest simulation, the paper's method.
     core::ApproximateLutPolicy approx(table, 0.92);
     core::DcaEngine dca(design);
-    const core::DcaRunResult r = dca.replay(trace, delays, approx);
-    std::printf("%-16s %10.1f %8.3fx %10llu   (custom, generic fallback)\n", r.policy.c_str(),
+    const core::DcaRunResult r = dca.run(program, approx);
+    std::printf("%-16s %10.1f %8.3fx %10llu   (custom, live)\n", r.policy.c_str(),
                 r.eff_freq_mhz, r.speedup_vs_static,
                 static_cast<unsigned long long>(r.timing_violations));
     return 0;

@@ -145,7 +145,7 @@ private:
 /// Factory enum used by the evaluation flow, the sweep axis and benches.
 /// kApproxLut and kDualCycle are the promoted forms of the approximate /
 /// dual-cycle baselines, so sweeps can grid over them with devirtualized
-/// replay kernels instead of the generic fallback.
+/// replay kernels instead of running them live.
 enum class PolicyKind {
     kStatic,
     kGenie,

@@ -93,9 +93,9 @@ ReplayEvaluationEngine::BlockFill ReplayEvaluationEngine::make_fill(
             // A stage forces the slow period when its instruction is in the
             // critical class or its entry is uncharacterized. The gather
             // over 0/1 indicator rows marks each cycle where any stage
-            // does, and one select pass picks the period — exact for any
-            // fast/slow pair, including legacy tables whose fast period
-            // exceeds the static one.
+            // does, and one select pass picks the period — the live
+            // policies' branch, exact for any fast/slow pair without
+            // assuming which of the two is longer.
             std::array<std::array<double, dta::kKeyCount>, sim::kStageCount> slow_rows{};
             for (std::size_t s = 0; s < slow_rows.size(); ++s) {
                 for (std::size_t key = 0; key < slow_rows[s].size(); ++key) {

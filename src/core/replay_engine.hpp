@@ -13,8 +13,8 @@
 // ScaledTraceDelays view — the trace's voltage-free unit array plus the
 // operating point's delay scale — so every voltage point of a sweep shares
 // one resident array and the safety check is one multiply per cycle.
-// Custom ClockPolicy objects fall back to the generic DcaEngine::replay
-// walk.
+// The engine scores bundled PolicyKinds only; a custom ClockPolicy runs
+// live on DcaEngine::run.
 //
 // Every result is byte-identical to a live DcaEngine::run of the same cell
 // at any block size, whether the fills dispatch through the SIMD table

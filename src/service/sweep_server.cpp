@@ -334,7 +334,7 @@ void SweepServer::process(Pending pending) {
         const runtime::SweepSpec spec = runtime::SweepSpec::parse(pending.request.body);
         runtime::SweepRunOptions options;
         if (pending.cancel.has_value()) options.cancel = &*pending.cancel;
-        const runtime::SweepEngine engine(config_.jobs, cache_, config_.mode);
+        const runtime::SweepEngine engine(config_.jobs, cache_);
         const runtime::SweepResult result = engine.run(spec, options);
         response.status = result.complete() ? 200 : 206;
         response.body = sweep_response_body(result, /*include_timing=*/!pending.canonical);

@@ -55,6 +55,8 @@
 
 namespace focs::service {
 
+/// Daemon settings. Every request is evaluated in replay mode; live
+/// evaluation (`focs sweep --live`) is the oracle replay is diffed against.
 struct ServerConfig {
     /// TCP port on 127.0.0.1; 0 binds an ephemeral port (read it back via
     /// port() after start()).
@@ -73,7 +75,6 @@ struct ServerConfig {
     std::uint64_t cache_budget_bytes = 0;
     /// SweepEngine worker threads per request (0 = hardware concurrency).
     int jobs = 0;
-    runtime::EvalMode mode = runtime::EvalMode::kReplay;
 };
 
 /// Totals of the server's request counters (exact once quiesced).

@@ -4,10 +4,10 @@
 // machine config) pair are invariant across every clocking scheme the
 // evaluation grid applies to it — only the granted period changes. A
 // TraceRecorder therefore captures one canonical run as a PipelineTrace:
-// the full per-cycle CycleRecord array (ground truth for delay evaluation
-// and for replaying arbitrary ClockPolicy objects) plus stage-major SoA
-// occupancy-key rows that let the replay engine's devirtualized policy
-// kernels walk whole trace blocks with one indexed load per (stage, cycle).
+// the full per-cycle CycleRecord array (the input of the trace's one unit
+// delay pass) plus stage-major SoA occupancy-key rows that let the replay
+// engine's devirtualized policy kernels walk whole trace blocks with one
+// indexed load per (stage, cycle).
 //
 // Layering note: the occupancy-key domain (OccKey, attribution rules) is
 // owned by dta/delay_table; the trace pre-applies it at record time so
@@ -30,9 +30,9 @@ namespace focs::sim {
 /// any clocking scheme without stepping the machine again. Immutable after
 /// recording; safe to share read-only across replay worker threads.
 struct PipelineTrace {
-    /// Canonical per-cycle records (AoS). Consumed by the per-(trace,
-    /// voltage) required-period computation and by the virtual-policy
-    /// replay fallback.
+    /// Canonical per-cycle records (AoS). Consumed only by the voltage-free
+    /// unit delay pass (timing::compute_unit_trace_delays), once per
+    /// (trace, design variant).
     std::vector<CycleRecord> records;
     /// Stage-major SoA occupancy keys: stage_keys[s][c] is the delay-table
     /// row charged to stage s in cycle c (attribution_keys pre-applied, so

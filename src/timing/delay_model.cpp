@@ -158,10 +158,7 @@ CycleDelays evaluate_cycle(const sim::CycleRecord& record,
         }
         const double delay = delay_of(*band, view, stage);
         out.stage_ps[static_cast<std::size_t>(s)] = delay;
-        if (delay > worst) {
-            worst = delay;
-            out.limiting_stage = stage;
-        }
+        if (delay > worst) worst = delay;
     }
     out.required_period_ps = worst;
     // Not check(): that would build its message string per cycle, and this

@@ -30,8 +30,6 @@ namespace focs::timing {
 struct CycleDelays {
     /// Max data-arrival requirement per stage (incl. setup), picoseconds.
     std::array<double, sim::kStageCount> stage_ps{};
-    /// Stage owning the overall maximum (paper Fig. 6 attribution).
-    sim::Stage limiting_stage = sim::Stage::kEx;
     /// Minimum safe clock period for this cycle = max over stages.
     double required_period_ps = 0;
 };

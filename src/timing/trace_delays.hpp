@@ -12,7 +12,8 @@
 // on the voltage axis is served by a ScaledTraceDelays *view*: the shared
 // unit array plus one scalar. A V-point sweep grid pays ~one delay-model
 // pass instead of V, and keeps one resident double array per trace instead
-// of V copies.
+// of V copies. Per-record DelayCalculator::evaluate / evaluate_unit stays
+// the oracle the unit pass is tested against.
 #pragma once
 
 #include <cstdint>
@@ -23,22 +24,6 @@
 #include "timing/delay_model.hpp"
 
 namespace focs::timing {
-
-/// Flat per-cycle timing requirements of one (trace, operating point) pair,
-/// fully materialized. Kept as the reference artifact (and for consumers
-/// that want a self-contained array); the sweep runtime shares
-/// UnitTraceDelays + ScaledTraceDelays views instead.
-struct TraceDelays {
-    /// STA period of the operating point (the static-policy request and the
-    /// uncharacterized-LUT fallback).
-    double static_period_ps = 0;
-    /// required_period_ps[c]: minimum safe clock period of trace cycle c —
-    /// bit-identical to DelayCalculator::evaluate(records[c]) on the same
-    /// design, so replayed violation counts match live runs exactly.
-    std::vector<double> required_period_ps;
-
-    std::uint64_t cycles() const { return static_cast<std::uint64_t>(required_period_ps.size()); }
-};
 
 /// Voltage-free per-cycle requirements of one trace: one entry per cycle in
 /// the calibration tables' 0.70 V unit domain. Computed once per (trace,
@@ -53,20 +38,15 @@ struct UnitTraceDelays {
     /// v: positive-constant multiplication is monotone under IEEE rounding,
     /// so the max over stages commutes with the scale.
     std::vector<double> unit_required_period_ps;
-    /// Stage owning each cycle's maximum (paper Fig. 6 attribution) — also
-    /// voltage-invariant, recorded for figure-level replay consumers.
-    std::vector<sim::Stage> limiting_stage;
 
     std::uint64_t cycles() const {
         return static_cast<std::uint64_t>(unit_required_period_ps.size());
     }
 
-    /// Resident size for cache byte budgeting: one double plus one stage
-    /// tag per trace cycle.
+    /// Resident size for cache byte budgeting: one double per trace cycle.
     std::uint64_t estimated_bytes() const {
         return sizeof *this +
-               static_cast<std::uint64_t>(unit_required_period_ps.capacity()) * sizeof(double) +
-               static_cast<std::uint64_t>(limiting_stage.capacity()) * sizeof(sim::Stage);
+               static_cast<std::uint64_t>(unit_required_period_ps.capacity()) * sizeof(double);
     }
 };
 
@@ -82,21 +62,13 @@ struct ScaledTraceDelays {
     double static_period_ps = 0;
 
     /// Minimum safe clock period of trace cycle c at this operating point;
-    /// bit-identical to compute_trace_delays(...).required_period_ps[c].
+    /// bit-identical to DelayCalculator::evaluate(records[c]) there.
     double required_period_ps(std::uint64_t c) const {
         return unit->unit_required_period_ps[c] * delay_scale;
     }
 
     std::uint64_t cycles() const { return unit != nullptr ? unit->cycles() : 0; }
-
-    /// Materializes the per-voltage flat array (reference/offline form).
-    TraceDelays materialize() const;
 };
-
-/// Evaluates the delay model over every recorded cycle once, at the
-/// calculator's operating point (reference path; one pass per voltage).
-TraceDelays compute_trace_delays(const DelayCalculator& calculator,
-                                 const std::vector<sim::CycleRecord>& records);
 
 /// One fused stage-major pass over the trace: for each stage row the band
 /// is resolved and one splitmix64 jitter sample drawn per cycle, maxing the

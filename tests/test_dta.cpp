@@ -26,20 +26,26 @@ TEST(DelayTable, FallbackToStatic) {
     DelayTable table(2026.0);
     EXPECT_FALSE(table.characterized(0, Stage::kEx));
     EXPECT_DOUBLE_EQ(table.lookup(0, Stage::kEx), 2026.0);
-    table.set(0, Stage::kEx, 1467.0);
+    table.set_characterized(0, Stage::kEx, 1467.0);
     EXPECT_TRUE(table.characterized(0, Stage::kEx));
     EXPECT_DOUBLE_EQ(table.lookup(0, Stage::kEx), 1467.0);
 }
 
 TEST(DelayTable, CyclePeriodIsMaxOverStages) {
     DelayTable table(2026.0);
-    std::array<OccKey, sim::kStageCount> keys{};
-    keys.fill(static_cast<OccKey>(isa::Opcode::kAdd));
+    sim::CycleRecord record;
     for (int s = 0; s < sim::kStageCount; ++s) {
-        table.set(static_cast<OccKey>(isa::Opcode::kAdd), static_cast<Stage>(s),
-                  800.0 + 100.0 * s);
+        sim::StageView& view = record.stages[static_cast<std::size_t>(s)];
+        view.valid = true;
+        view.inst.opcode = isa::Opcode::kAdd;
+        table.set_characterized(static_cast<OccKey>(isa::Opcode::kAdd), static_cast<Stage>(s),
+                                800.0 + 100.0 * s);
     }
-    EXPECT_DOUBLE_EQ(table.cycle_period_ps(keys), 800.0 + 100.0 * (sim::kStageCount - 1));
+    EXPECT_DOUBLE_EQ(table.cycle_period_ps(record), 800.0 + 100.0 * (sim::kStageCount - 1));
+    // An uncharacterized slot (a bubble here) falls back to the static
+    // period and dominates the cycle.
+    record.stages[static_cast<std::size_t>(Stage::kWb)].valid = false;
+    EXPECT_DOUBLE_EQ(table.cycle_period_ps(record), 2026.0);
 }
 
 TEST(DelayTable, ScaledByOneIsIdentity) {
@@ -51,7 +57,6 @@ TEST(DelayTable, ScaledByOneIsIdentity) {
     const DelayTable view = table.scaled(1.0);
     EXPECT_EQ(view.static_period_ps(), table.static_period_ps());
     EXPECT_EQ(view.lut_guard_ps(), table.lut_guard_ps());
-    EXPECT_TRUE(view.has_raw());
     for (int key = 0; key < kKeyCount; ++key) {
         for (int stage = 0; stage < sim::kStageCount; ++stage) {
             const auto k = static_cast<OccKey>(key);
@@ -102,36 +107,63 @@ TEST(DelayTable, ScaledReappliesStaticClampAtBandBoundary) {
     EXPECT_EQ(down.lookup(static_cast<OccKey>(isa::Opcode::kAdd), Stage::kEx), 500.0);
 }
 
-TEST(DelayTable, LegacySetFallsBackToFinishedEntryScaling) {
-    // A manual set() abandons the raw/guard split for good: scaled() then
-    // multiplies finished entries (the pre-split semantics).
-    DelayTable table(2000.0, 50.0);
-    table.set_characterized(static_cast<OccKey>(isa::Opcode::kAdd), Stage::kEx, 900.0);
-    EXPECT_TRUE(table.has_raw());
-    table.set(static_cast<OccKey>(isa::Opcode::kMul), Stage::kEx, 1200.0);
-    EXPECT_FALSE(table.has_raw());
-    const DelayTable view = table.scaled(2.0);
-    EXPECT_FALSE(view.has_raw());
-    // Finished entry 900 + 50 = 950 doubles wholesale (guard band included).
-    EXPECT_EQ(view.lookup(static_cast<OccKey>(isa::Opcode::kAdd), Stage::kEx), 1900.0);
-    EXPECT_EQ(view.lookup(static_cast<OccKey>(isa::Opcode::kMul), Stage::kEx), 2400.0);
-}
-
 TEST(DelayTable, SerializeRoundTrip) {
-    DelayTable table(2026.0);
-    table.set(static_cast<OccKey>(isa::Opcode::kMul), Stage::kEx, 1899.25);
-    table.set(kKeyBubble, Stage::kAdr, 612.5);
+    // Full-precision text: the copy is exact, entry for entry, and writes
+    // the same bytes back.
+    DelayTable table(2026.0, 25.0);
+    table.set_characterized(static_cast<OccKey>(isa::Opcode::kMul), Stage::kEx, 1899.1 / 3.0);
+    table.set_characterized(kKeyBubble, Stage::kAdr, 612.5);
     const DelayTable copy = DelayTable::deserialize(table.serialize());
-    EXPECT_DOUBLE_EQ(copy.static_period_ps(), 2026.0);
-    EXPECT_NEAR(copy.lookup(static_cast<OccKey>(isa::Opcode::kMul), Stage::kEx), 1899.25, 1e-3);
-    EXPECT_NEAR(copy.lookup(kKeyBubble, Stage::kAdr), 612.5, 1e-3);
+    EXPECT_EQ(copy.static_period_ps(), 2026.0);
+    EXPECT_EQ(copy.lut_guard_ps(), 25.0);
+    EXPECT_EQ(copy.lookup(static_cast<OccKey>(isa::Opcode::kMul), Stage::kEx),
+              table.lookup(static_cast<OccKey>(isa::Opcode::kMul), Stage::kEx));
+    EXPECT_EQ(copy.lookup(kKeyBubble, Stage::kAdr), 612.5 + 25.0);
     EXPECT_FALSE(copy.characterized(kKeyHeld, Stage::kWb));
+    EXPECT_EQ(copy.serialize(), table.serialize());
 }
 
 TEST(DelayTable, DeserializeRejectsGarbage) {
-    EXPECT_THROW(DelayTable::deserialize("not a table\n"), ParseError);
-    EXPECT_THROW(DelayTable::deserialize("delay_table v1 static_ps=2026\n999 0 100\n"),
-                 ParseError);
+    // Each probe is a ParseError naming the line it failed on.
+    const std::string header = "delay_table v2 static_ps=2026 guard_ps=25\n";
+    const struct {
+        std::string text;
+        int line;
+    } probes[] = {
+        {"", 1},
+        {"not a table\n", 1},
+        {"delay_table v1 static_ps=2026\n5 3 100\n", 1},
+        {"delay_table v2 static_ps=abc guard_ps=25\n", 1},
+        {"delay_table v2 static_ps=2026x guard_ps=25\n", 1},
+        {"delay_table v2 static_ps= guard_ps=25\n", 1},
+        {"delay_table v2 static_ps=inf guard_ps=25\n", 1},
+        {"delay_table v2 static_ps=nan guard_ps=25\n", 1},
+        {"delay_table v2 static_ps=1e999 guard_ps=25\n", 1},
+        {"delay_table v2 static_ps=0 guard_ps=25\n", 1},
+        {"delay_table v2 static_ps=-2026 guard_ps=25\n", 1},
+        {"delay_table v2 static_ps=2026 guard_ps=-1\n", 1},
+        {"delay_table v2 static_ps=2026 guard_ps=inf\n", 1},
+        {"delay_table v2 static_ps=2026 guard_ps=25 extra\n", 1},
+        {header + "999 0 100\n", 2},
+        {header + "5 6 100\n", 2},
+        {header + "5 3\n", 2},
+        {header + "5 3 12x\n", 2},
+        {header + "5 3 abc\n", 2},
+        {header + "5 3 inf\n", 2},
+        {header + "5 3 nan\n", 2},
+        {header + "5 3 0\n", 2},
+        {header + "5 3 -12\n", 2},
+        {header + "5 3 100\n\n5 3 120\n", 4},
+    };
+    for (const auto& probe : probes) {
+        SCOPED_TRACE(probe.text);
+        try {
+            DelayTable::deserialize(probe.text);
+            ADD_FAILURE() << "accepted";
+        } catch (const ParseError& e) {
+            EXPECT_EQ(e.line(), probe.line) << e.what();
+        }
+    }
 }
 
 TEST(Keys, BubbleHeldAndRedirectAttribution) {

@@ -1,10 +1,9 @@
 // Record/replay correctness: a replayed evaluation must be byte-identical
 // to a live DcaEngine::run of the same cell — for every bundled PolicyKind,
-// every clock-generator family, at every replay block size (including odd
-// boundaries), and through the generic virtual-policy fallback. The
-// voltage-invariance contract is tested explicitly: one fused unit delay
-// pass per trace must serve every operating point bit-identically to the
-// per-voltage reference pass.
+// every clock-generator family, and at every replay block size (including
+// odd boundaries). The voltage-invariance contract is tested explicitly:
+// one fused unit delay pass per trace must serve every operating point
+// bit-identically to per-record DelayCalculator::evaluate.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -145,91 +144,6 @@ TEST(Replay, BlockBoundariesDoNotChangeResults) {
     }
 }
 
-TEST(Replay, GenericFallbackMatchesLiveForCustomPolicy) {
-    const ReplayFixture& f = fixture();
-    // A policy instance outside the promoted grid points (a non-default
-    // approx scale) exercises DcaEngine::replay, the virtual-dispatch
-    // fallback over the recorded CycleRecords.
-    ApproximateLutPolicy live_policy(f.table, 0.92);
-    ApproximateLutPolicy replay_policy(f.table, 0.92);
-    DcaEngine engine(f.design);
-    const DcaRunResult live = engine.run(f.program, live_policy);
-    const DcaRunResult replayed = engine.replay(f.trace, replay_policy);
-    expect_identical(live, replayed);
-    // The 0.92 scale must actually provoke violations, or this proves less
-    // than it claims about the violation accounting.
-    EXPECT_GT(live.timing_violations, 0u);
-}
-
-TEST(Replay, SharedGroundTruthFallbackMatchesEvaluatingFallback) {
-    // The ScaledTraceDelays overload of DcaEngine::replay derives the per-
-    // cycle requirement from the shared unit array instead of re-running
-    // the delay model; for policies honouring the PolicyContext contract
-    // (actual is the genie's channel) it must reproduce the evaluating
-    // fallback's bytes.
-    const ReplayFixture& f = fixture();
-    DcaEngine engine(f.design);
-    ApproximateLutPolicy evaluating(f.table, 0.92);
-    ApproximateLutPolicy shared(f.table, 0.92);
-    expect_identical(engine.replay(f.trace, evaluating),
-                     engine.replay(f.trace, f.delays, shared));
-
-    GenieOraclePolicy genie_a;
-    GenieOraclePolicy genie_b;
-    auto generator_a = make_generator(2, f.delays.static_period_ps);
-    auto generator_b = make_generator(2, f.delays.static_period_ps);
-    expect_identical(engine.replay(f.trace, genie_a, *generator_a),
-                     engine.replay(f.trace, f.delays, genie_b, *generator_b));
-}
-
-TEST(Replay, GenericFallbackMatchesDevirtualizedKernels) {
-    const ReplayFixture& f = fixture();
-    const ReplayEvaluationEngine engine(f.trace, f.delays, f.table);
-    DcaEngine dca(f.design);
-    for (const PolicyKind kind : kAllKinds) {
-        SCOPED_TRACE(policy_kind_name(kind));
-        const auto policy = make_policy(kind, f.table, f.delays.static_period_ps);
-        auto generator_a = make_generator(1, f.delays.static_period_ps);
-        auto generator_b = make_generator(1, f.delays.static_period_ps);
-        expect_identical(dca.replay(f.trace, *policy, *generator_a),
-                         engine.run(kind, generator_b.get()));
-    }
-}
-
-TEST(Replay, TwoClassMatchesLiveOnLegacyTableWithFastAboveStatic) {
-    // A legacy table built with set() can hold a non-critical entry above
-    // the static period, making the two-class fast period exceed its slow
-    // (static) one. A fill that maxed per-stage period selects would then
-    // clock slow cycles at the fast period; the indicator-select fill must
-    // still match the live policy, for every generator family.
-    const ReplayFixture& f = fixture();
-    dta::DelayTable legacy(f.table.static_period_ps());
-    for (dta::OccKey key = 0; key < dta::kKeyCount; ++key) {
-        for (int s = 0; s < sim::kStageCount; ++s) {
-            const auto stage = static_cast<sim::Stage>(s);
-            if (f.table.characterized(key, stage)) legacy.set(key, stage, f.table.lookup(key, stage));
-        }
-    }
-    // l.add in EX: non-critical, and executed by crc32.
-    const auto add = static_cast<dta::OccKey>(isa::Opcode::kAdd);
-    legacy.set(add, sim::Stage::kEx, 1.25 * legacy.static_period_ps());
-    const double fast_ps = TwoClassPolicy(legacy).fast_period_ps();
-    ASSERT_GT(fast_ps, legacy.static_period_ps());
-
-    const ReplayEvaluationEngine engine(f.trace, f.delays, legacy);
-    for (int which = 0; which < 3; ++which) {
-        SCOPED_TRACE("generator" + std::to_string(which));
-        auto live_generator = make_generator(which, f.delays.static_period_ps);
-        auto replay_generator = make_generator(which, f.delays.static_period_ps);
-        expect_identical(evaluate_cell(f.design, legacy, f.program, PolicyKind::kTwoClass,
-                                       live_generator.get()),
-                         engine.run(PolicyKind::kTwoClass, replay_generator.get()));
-    }
-    // crc32's l.mul cycles are slow, so some cycles must be clocked at the
-    // (shorter) static period, or this proves nothing about the select.
-    EXPECT_LT(engine.run(PolicyKind::kTwoClass).avg_period_ps, fast_ps);
-}
-
 TEST(Replay, ParameterizedSpecsDispatchToKernelsAndMatchLive) {
     const ReplayFixture& f = fixture();
     // Parameterized grid points must hit the same devirtualized kernel
@@ -328,18 +242,19 @@ TEST(TraceRecorder, CapturesGuestMetadataAndKeys) {
 
 TEST(TraceDelays, UnitPassMatchesPerCycleUnitEvaluation) {
     // The fused stage-major kernel must reproduce the per-cycle
-    // evaluate_unit() exactly — value and limiting-stage attribution.
+    // evaluate_unit() exactly, on every cycle of the trace.
     const ReplayFixture& f = fixture();
     const timing::DelayCalculator calculator(f.design);
     ASSERT_EQ(f.unit->cycles(), f.trace.cycles());
     EXPECT_EQ(f.unit->unit_static_period_ps, calculator.unit_static_period_ps());
-    ASSERT_EQ(f.unit->limiting_stage.size(), f.trace.records.size());
-    for (std::size_t c = 0; c < f.trace.records.size(); c += 131) {
-        const timing::CycleDelays reference = calculator.evaluate_unit(f.trace.records[c]);
-        EXPECT_EQ(f.unit->unit_required_period_ps[c], reference.required_period_ps)
-            << "cycle " << c;
-        EXPECT_EQ(f.unit->limiting_stage[c], reference.limiting_stage) << "cycle " << c;
+    std::vector<double> reference;
+    reference.reserve(f.trace.records.size());
+    for (const sim::CycleRecord& record : f.trace.records) {
+        reference.push_back(calculator.evaluate_unit(record).required_period_ps);
     }
+    // Vector equality is element-exact: one comparison instead of an
+    // EXPECT per cycle.
+    EXPECT_EQ(f.unit->unit_required_period_ps, reference);
 }
 
 TEST(TraceDelays, ScaledViewMatchesPerCycleEvaluation) {
@@ -355,10 +270,10 @@ TEST(TraceDelays, ScaledViewMatchesPerCycleEvaluation) {
 }
 
 TEST(TraceDelays, OneUnitPassServesEveryVoltageBitIdentically) {
-    // The tentpole contract: for every benchmark kernel, the single unit
-    // pass scaled to each point of a dense voltage grid must be
-    // byte-identical to the per-voltage reference pass
-    // (compute_trace_delays) — every cycle, every voltage, no tolerances.
+    // The voltage-invariance contract: for every benchmark kernel, the
+    // single unit pass scaled to each point of a dense voltage grid must be
+    // byte-identical to the live engine's per-record evaluation at that
+    // point — every cycle, every voltage, no tolerances.
     // Each trace is truncated to a prefix so the dense grid stays fast; the
     // identity is per-cycle, so a prefix proves the same thing.
     constexpr double kVoltages[] = {0.50, 0.55, 0.60, 0.65, 0.70,
@@ -379,17 +294,21 @@ TEST(TraceDelays, OneUnitPassServesEveryVoltageBitIdentically) {
             SCOPED_TRACE(voltage);
             design.voltage_v = voltage;
             const timing::DelayCalculator calculator(design);
-            const timing::TraceDelays reference =
-                timing::compute_trace_delays(calculator, records);
             const timing::ScaledTraceDelays scaled =
                 timing::scale_trace_delays(unit, calculator);
-            ASSERT_EQ(scaled.cycles(), reference.cycles());
-            EXPECT_EQ(scaled.static_period_ps, reference.static_period_ps);
-            const timing::TraceDelays materialized = scaled.materialize();
+            ASSERT_EQ(scaled.cycles(), records.size());
+            EXPECT_EQ(scaled.static_period_ps, calculator.static_period_ps());
+            std::vector<double> view;
+            std::vector<double> reference;
+            view.reserve(records.size());
+            reference.reserve(records.size());
+            for (std::size_t c = 0; c < records.size(); ++c) {
+                view.push_back(scaled.required_period_ps(c));
+                reference.push_back(calculator.evaluate(records[c]).required_period_ps);
+            }
             // Vector equality is element-exact: one comparison per grid
             // point instead of a quadratic EXPECT storm.
-            EXPECT_EQ(materialized.required_period_ps, reference.required_period_ps);
-            EXPECT_EQ(materialized.static_period_ps, reference.static_period_ps);
+            EXPECT_EQ(view, reference);
         }
     }
 }

@@ -9,13 +9,18 @@
 //                                               on the batched engine; --jobs
 //                                               adds endpoint-kernel workers
 //   focs evaluate <file.s|kernel:NAME> [--lut lut.txt] [--policy P] [--taps N]
+//                 [--voltage V]
 //                                               delay-annotated run; P in
 //                                               static|two-class|ex-only|lut|
 //                                               genie|approx-lut[:S]|
 //                                               dual-cycle[:S] (approx-lut:S
 //                                               scales the LUT by S in (0,1],
 //                                               dual-cycle:S stretches the
-//                                               slow class by S >= 1)
+//                                               slow class by S >= 1);
+//                                               a --lut table (delay_table v2,
+//                                               as characterize -o writes it)
+//                                               must have been characterized
+//                                               at the run's operating point
 //   focs suite [--lut lut.txt] [--policy P] [--jobs N] [--replay|--live]
 //                                               run the whole Fig. 8 suite
 //   focs sweep <spec.sweep> [--jobs N] [--replay|--live] [-o results.json]
@@ -100,6 +105,9 @@ using namespace focs;
                  "               [--metrics] [--trace-out trace.json]\n"
                  "  evaluate <file.s|kernel:NAME> [--lut lut.txt] [--policy P] [--taps N]\n"
                  "           [--voltage V]\n"
+                 "      --lut: a delay_table v2 file (characterize -o) characterized at\n"
+                 "             the run's operating point; evaluate, stats and suite\n"
+                 "             refuse one whose static period differs\n"
                  "  suite [--lut lut.txt] [--policy P] [--jobs N] [--replay|--live]\n"
                  "        [--metrics] [--trace-out trace.json]\n"
                  "  sweep <spec.sweep> [--jobs N] [--replay|--live] [-o results.json]\n"
@@ -122,12 +130,12 @@ using namespace focs;
                  "  stats <file.s|kernel:NAME> [--lut lut.txt]\n"
                  "  serve [--port N] [--max-inflight N] [--queue-depth N]\n"
                  "        [--deadline-default-ms X] [--cache-budget-mb N] [--jobs N]\n"
-                 "        [--replay|--live] [--metrics] [--trace-out trace.json]\n"
+                 "        [--metrics] [--trace-out trace.json]\n"
                  "      long-lived sweep daemon on 127.0.0.1 (POST /sweep with a spec\n"
-                 "      body; GET /healthz, /metricsz). Bounded admission queue sheds\n"
-                 "      excess load with 503, X-Focs-Deadline-Ms returns partial results\n"
-                 "      as 206, --cache-budget-mb arms LRU eviction of shared artifacts.\n"
-                 "      SIGTERM/SIGINT drains gracefully (twice: cancel in-flight).\n"
+                 "      body, always replayed; GET /healthz, /metricsz). Bounded admission\n"
+                 "      queue sheds excess load with 503, X-Focs-Deadline-Ms returns partial\n"
+                 "      results as 206, --cache-budget-mb arms LRU eviction of shared\n"
+                 "      artifacts. SIGTERM/SIGINT drains gracefully (twice: cancel in-flight).\n"
                  "  client --port N --spec FILE [-n N] [--concurrency C]\n"
                  "         [--deadline-ms X] [--canonical] [-o resp.json]\n"
                  "         [--host H] [--healthz|--metricsz]\n"
@@ -172,7 +180,7 @@ const CommandFlags* command_flags(const std::string& command) {
           {"--jobs", "-o", "--trace-out", "--deadline-ms", "--fault"}}},
         {"stats", {{}, {"--lut"}}},
         {"serve",
-         {{"--replay", "--live", "--metrics"},
+         {{"--metrics"},
           {"--port", "--max-inflight", "--queue-depth", "--deadline-default-ms",
            "--cache-budget-mb", "--jobs", "--trace-out", "--fault"}}},
         {"client",
@@ -310,6 +318,11 @@ runtime::EvalMode parse_eval_mode_flags(const std::vector<std::string>& args) {
     return live ? runtime::EvalMode::kLive : runtime::EvalMode::kReplay;
 }
 
+/// The --lut table, or a fresh characterization at `design`. A loaded
+/// table must have been characterized at `design`'s operating point: its
+/// static period is compared exactly (the file holds it at full precision,
+/// and both sides compute fl(static x delay_scale(v))), so a LUT from
+/// another voltage or variant is refused instead of skewing every figure.
 dta::DelayTable load_or_build_table(const std::vector<std::string>& args,
                                     const timing::DesignConfig& design) {
     if (const auto path = flag_value(args, "--lut")) {
@@ -317,7 +330,16 @@ dta::DelayTable load_or_build_table(const std::vector<std::string>& args,
         if (!in) throw Error("cannot open " + *path);
         std::ostringstream buffer;
         buffer << in.rdbuf();
-        return dta::DelayTable::deserialize(buffer.str());
+        dta::DelayTable table = dta::DelayTable::deserialize(buffer.str());
+        const double expected = timing::DelayCalculator(design).static_period_ps();
+        if (table.static_period_ps() != expected) {
+            char periods[160];
+            std::snprintf(periods, sizeof periods,
+                          "static period %.17g ps, but the %.2f V operating point has %.17g ps",
+                          table.static_period_ps(), design.voltage_v, expected);
+            throw Error("--lut " + *path + " has " + periods + " (characterize at that point)");
+        }
+        return table;
     }
     std::fprintf(stderr, "(no --lut given: characterizing from scratch)\n");
     const core::CharacterizationFlow flow(design);
@@ -593,7 +615,6 @@ int cmd_serve(const std::vector<std::string>& args) {
     const double budget_mb = parse_positive_double(args, "--cache-budget-mb", 0);
     config.cache_budget_bytes = static_cast<std::uint64_t>(budget_mb * 1024.0 * 1024.0);
     config.jobs = parse_jobs(args);
-    config.mode = parse_eval_mode_flags(args);
     if (const auto spec = flag_value(args, "--fault")) fault::global_injector().configure(*spec);
 
     service::SweepServer server(config);
@@ -605,10 +626,9 @@ int cmd_serve(const std::vector<std::string>& args) {
     ::sigaction(SIGINT, &action, nullptr);
 
     std::printf("focs-serve: listening on 127.0.0.1:%d (max-inflight %d, queue-depth %d, "
-                "cache-budget %llu bytes, %s mode)\n",
+                "cache-budget %llu bytes, replay mode)\n",
                 server.port(), config.max_inflight, config.queue_depth,
-                static_cast<unsigned long long>(config.cache_budget_bytes),
-                runtime::eval_mode_name(config.mode).c_str());
+                static_cast<unsigned long long>(config.cache_budget_bytes));
     std::fflush(stdout);
 
     server.wait();
