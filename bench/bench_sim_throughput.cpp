@@ -279,7 +279,7 @@ void BM_Assembler(benchmark::State& state) {
     const auto& kernel = workloads::find_kernel("coremark_mini");
     for (auto _ : state) {
         const auto program = assembler::assemble(kernel.source);
-        benchmark::DoNotOptimize(program.bytes().size());
+        benchmark::DoNotOptimize(program.image_size());
     }
 }
 BENCHMARK(BM_Assembler)->Unit(benchmark::kMicrosecond);

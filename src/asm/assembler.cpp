@@ -8,7 +8,6 @@
 
 #include "common/error.hpp"
 #include "common/strings.hpp"
-#include "isa/disasm.hpp"
 #include "isa/encoding.hpp"
 #include "isa/isa_info.hpp"
 
@@ -131,6 +130,10 @@ struct Statement {
     std::vector<std::string> labels;
     std::string head;  ///< mnemonic or directive (lower-case), may be empty
     std::string rest;  ///< untouched operand text
+    /// Placement fixed by the layout pass; the emit pass only fills in
+    /// the bytes.
+    std::uint32_t address = 0;
+    std::uint32_t size = 0;
 };
 
 /// Strips comments respecting double-quoted strings.
@@ -236,6 +239,11 @@ void check_unsigned16(std::uint32_t value, int line) {
 // Assembler core
 // ---------------------------------------------------------------------------
 
+/// Upper bound on the bytes one program may store. Far above every bundled
+/// program (the largest, char_memory, stores 32,880 B) and the default
+/// 64 KiB SRAMs, so only a runaway `.space` or `.align` reaches it.
+constexpr std::uint64_t kMaxImageBytes = std::uint64_t{4} << 20;
+
 class Assembler {
 public:
     explicit Assembler(const AssemblyOptions& options) : options_(options) {}
@@ -278,7 +286,8 @@ private:
         if (h == ".ascii" || h == ".asciz") {
             return static_cast<std::uint32_t>(parse_string(st).size()) + (h == ".asciz" ? 1 : 0);
         }
-        return 0;  // .org/.text/.data/.equ/.global handled separately
+        // .org/.text/.data/.equ/.global are handled by the layout pass.
+        throw ParseError("unknown directive '" + h + "'", st.line);
     }
 
     static std::uint32_t count_operands(const Statement& st) {
@@ -302,11 +311,16 @@ private:
         return out;
     }
 
+    /// Fixes every statement's address and size and defines the labels.
+    /// Before any byte is stored, refuses a statement that would carry the
+    /// location counter past 0xffffffff (it would wrap and overwrite low
+    /// addresses) and an image above kMaxImageBytes.
     void layout_pass() {
         std::uint32_t text_lc = options_.text_base;
         std::uint32_t data_lc = options_.data_base;
+        std::uint64_t image_bytes = 0;
         bool in_text = true;
-        for (const auto& st : statements_) {
+        for (auto& st : statements_) {
             std::uint32_t& lc = in_text ? text_lc : data_lc;
             for (const auto& label : st.labels) {
                 if (symbols_.count(label) != 0) {
@@ -332,80 +346,70 @@ private:
                 symbols_[parts[0]] = eval.evaluate(parts[1]);
                 continue;
             }
-            lc += statement_size(st, lc);
+            const std::uint32_t size = statement_size(st, lc);
+            if (std::uint64_t{lc} + size > 0xffffffffu) {
+                throw ParseError("location counter passes 0xffffffff", st.line);
+            }
+            image_bytes += size;
+            if (image_bytes > kMaxImageBytes) {
+                throw ParseError("program image exceeds " + std::to_string(kMaxImageBytes) +
+                                     " bytes",
+                                 st.line);
+            }
+            st.address = lc;
+            st.size = size;
+            lc += size;
         }
     }
 
     void emit_pass() {
-        std::uint32_t text_lc = options_.text_base;
-        std::uint32_t data_lc = options_.data_base;
-        bool in_text = true;
         for (const auto& st : statements_) {
-            std::uint32_t& lc = in_text ? text_lc : data_lc;
-            if (st.head.empty()) continue;
-            if (st.head == ".text") { in_text = true; continue; }
-            if (st.head == ".data") { in_text = false; continue; }
-            if (st.head == ".global" || st.head == ".equ") continue;
-            if (st.head == ".org") {
-                ExprEvaluator eval(symbols_, st.line);
-                lc = eval.evaluate(st.rest);
-                continue;
-            }
+            if (st.size == 0) continue;  // the layout pass found nothing to store
             if (st.head[0] == '.') {
-                emit_directive(st, lc);
-                continue;
+                emit_directive(st);
+            } else {
+                emit_instruction(st);
             }
-            emit_instruction(st, lc);
         }
     }
 
-    void emit_directive(const Statement& st, std::uint32_t& lc) {
+    void emit_directive(const Statement& st) {
         ExprEvaluator eval(symbols_, st.line);
         if (st.head == ".word" || st.head == ".half" || st.head == ".byte") {
             const std::uint32_t size = st.head == ".word" ? 4 : st.head == ".half" ? 2 : 1;
+            std::vector<std::uint8_t> bytes;
+            bytes.reserve(st.size);
             for (const auto& operand : split(st.rest, ',')) {
                 const std::uint32_t value = eval.evaluate(operand);
                 for (std::uint32_t b = 0; b < size; ++b) {
-                    program_.set_byte(lc + b,
-                                      static_cast<std::uint8_t>(value >> (8 * (size - 1 - b))));
+                    bytes.push_back(static_cast<std::uint8_t>(value >> (8 * (size - 1 - b))));
                 }
-                lc += size;
             }
-            return;
-        }
-        if (st.head == ".space") {
+            program_.store(st.address, bytes);
+        } else if (st.head == ".space") {
             const auto parts = split(st.rest, ',');
-            const std::uint32_t count = eval.evaluate(parts.at(0));
             const std::uint8_t fill =
                 parts.size() > 1 ? static_cast<std::uint8_t>(eval.evaluate(parts[1])) : 0;
-            for (std::uint32_t b = 0; b < count; ++b) program_.set_byte(lc + b, fill);
-            lc += count;
-            return;
-        }
-        if (st.head == ".align") {
-            const std::uint32_t align = eval.evaluate(st.rest);
-            const std::uint32_t pad = (align - lc % align) % align;
-            for (std::uint32_t b = 0; b < pad; ++b) program_.set_byte(lc + b, 0);
-            lc += pad;
-            return;
-        }
-        if (st.head == ".ascii" || st.head == ".asciz") {
+            program_.fill(st.address, st.size, fill);
+        } else if (st.head == ".align") {
+            program_.fill(st.address, st.size, 0);
+        } else {  // .ascii / .asciz (the layout pass refused unknown directives)
             std::string s = parse_string(st);
             if (st.head == ".asciz") s += '\0';
-            for (char c : s) program_.set_byte(lc++, static_cast<std::uint8_t>(c));
-            return;
+            program_.store(st.address,
+                           {reinterpret_cast<const std::uint8_t*>(s.data()), s.size()});
         }
-        throw ParseError("unknown directive '" + st.head + "'", st.line);
     }
 
     void emit_word(const Instruction& inst, std::uint32_t& lc, int line) {
         const std::uint32_t word = isa::encode(inst);
         program_.set_word(lc, word);
-        program_.add_listing({lc, word, isa::disassemble(inst, lc), line});
+        program_.add_listing({lc, word, line});
         lc += 4;
     }
 
-    void emit_instruction(const Statement& st, std::uint32_t& lc) {
+    void emit_instruction(const Statement& st) {
+        std::uint32_t lc = st.address;
         ExprEvaluator eval(symbols_, st.line);
         const auto operands = st.rest.empty() ? std::vector<std::string>{} : split(st.rest, ',');
         auto need = [&](std::size_t n) {
@@ -550,18 +554,6 @@ private:
 Program assemble(std::string_view source, const AssemblyOptions& options) {
     Assembler assembler(options);
     return assembler.run(source);
-}
-
-std::string Program::listing_text() const {
-    std::string out;
-    char buf[64];
-    for (const auto& e : listing_) {
-        std::snprintf(buf, sizeof buf, "%08x: %08x  ", e.address, e.word);
-        out += buf;
-        out += e.disassembly;
-        out += '\n';
-    }
-    return out;
 }
 
 }  // namespace focs::assembler

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdio>
 #include <exception>
+#include <future>
 #include <mutex>
 #include <optional>
 #include <set>
@@ -29,6 +30,25 @@ struct SweepJob {
     core::PolicySpec policy;
     const GeneratorSpec* generator = nullptr;
     timing::DesignConfig design;
+};
+
+/// The three shared artifacts one replay cell reads, as fetched from the
+/// cache (the futures may still be pending).
+struct CellArtifacts {
+    std::shared_future<dta::DelayTable> table;
+    std::shared_future<sim::PipelineTrace> trace;
+    std::shared_future<std::shared_ptr<const timing::UnitTraceDelays>> unit;
+};
+
+/// One build-ahead task: the first cell of one kernel in expansion order.
+/// The task runs that cell's prologue early and stores its artifact
+/// futures; the cell's column waits on `ready` before it reads them.
+struct BuildAhead {
+    std::size_t cell = 0;
+    /// Empty when the task settled the cell (drained or failed it).
+    std::optional<CellArtifacts> artifacts;
+    std::promise<void> published;
+    std::future<void> ready = published.get_future();
 };
 
 /// Nearest-rank percentile of an already-sorted ascending sample vector.
@@ -306,6 +326,67 @@ SweepResult SweepEngine::run(const SweepSpec& raw_spec, const SweepRunOptions& o
         return true;
     };
 
+    // Cell prologue of a replay cell, shared by build-ahead tasks and
+    // columns: the eval.cell fault point (the token rides in so an injected
+    // delay rule cannot stall a cell past its deadline), then one fetch per
+    // artifact, in the order delay table, trace, unit delays. A fetch that
+    // misses builds in place; one that finds a pending build returns its
+    // future without waiting.
+    const auto fetch_artifacts = [&](std::size_t index, [[maybe_unused]] const SweepCell& cell) {
+        FOCS_FAULT_POINT_CANCEL("eval.cell", cell_key(cell), options.cancel);
+        const SweepJob& job = jobs_list[index];
+        return CellArtifacts{
+            cache_->delay_table(job.design, analyzer_config, flow_threads, options.cancel),
+            cache_->trace(job.kernel), cache_->unit_trace_delays(job.kernel, job.design)};
+    };
+
+    // Build-ahead schedule (replay only): one task per distinct kernel heads
+    // the work list, so the workers elect the nominal characterization and
+    // record every kernel's trace and unit delays side by side before any
+    // column can wait on them. Each task runs the prologue of its kernel's
+    // first cell (cancellation drain, fault point, the three fetches) and
+    // publishes the futures; that cell's column waits on them, every other
+    // cell fetches its own. The same cells make the same lookups as without
+    // the schedule, so the per-class miss/served counts, failure isolation
+    // and fault keys are unchanged. Columns keep expansion order.
+    //
+    // A slot pins its kernel's artifacts until that column runs, so the
+    // schedule only runs where pinning cannot change what gets built: on a
+    // cache without a byte budget (it keeps every artifact anyway) and with
+    // more than one worker (one worker overlaps nothing). Under a budget,
+    // K slots would hold K traces past it, and the LRU would evict
+    // artifacts that sibling cells then rebuild.
+    const bool build_first = fuse_columns && worker_count > 1 && cache_->byte_budget() == 0;
+    constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
+    std::vector<BuildAhead> build_ahead;
+    std::vector<std::size_t> slot_of_column(fuse_columns ? unit_count : 0, kNoSlot);
+    if (build_first) {
+        std::set<std::string> kernels_seen;
+        for (std::size_t group = 0; group < slot_of_column.size(); ++group) {
+            if (!kernels_seen.insert(jobs_list[group * group_size].kernel).second) continue;
+            slot_of_column[group] = build_ahead.size();
+            build_ahead.emplace_back().cell = group * group_size;
+        }
+    }
+
+    // Runs one build-ahead task. The slot is published on every path, so
+    // its column never waits on a task that gave up. Returns false on
+    // fail-fast abort.
+    const auto run_build_ahead = [&](BuildAhead& slot) {
+        SweepCell& cell = label_cell(slot.cell, std::chrono::steady_clock::now());
+        bool failed = false;
+        if (!drain_if_cancelled(cell)) {
+            try {
+                slot.artifacts = fetch_artifacts(slot.cell, cell);
+            } catch (const std::exception& e) {
+                record_failure(cell, e);
+                failed = true;
+            }
+        }
+        slot.published.set_value();
+        return !(failed && abort_on_failure(cell));
+    };
+
     // Replay evaluation of one (voltage, kernel, policy) column. Record-
     // once / replay-many: the trace is one guest simulation per (kernel,
     // machine config) and the unit delay array one fused pass per (kernel,
@@ -313,43 +394,39 @@ SweepResult SweepEngine::run(const SweepSpec& raw_spec, const SweepRunOptions& o
     // ScaledTraceDelays view (one scalar) from the same cache-hot array.
     // Every per-cell isolation point survives — each cell runs its own
     // cancellation drain, eval.cell fault point, AND artifact acquisition
-    // (fetch + wait), so a poisoned cache entry fails only the cell that
-    // observed it and the next cell re-elects a fresh builder, exactly as
-    // under per-cell scheduling. Only the survivors join the single fused
-    // replay pass (one request fill serving every generator variant).
-    // Returns false on fail-fast abort.
+    // (fetch + wait; a build-ahead cell fetched in its task), so a poisoned
+    // cache entry fails only the cell that observed it and the next cell
+    // re-elects a fresh builder, exactly as under per-cell scheduling. Only
+    // the survivors join the single fused replay pass (one request fill
+    // serving every generator variant). Returns false on fail-fast abort.
     const auto evaluate_column = [&](std::size_t group) {
         const std::size_t base = group * group_size;
         const std::size_t limit = std::min(jobs_list.size(), base + group_size);
         const auto dequeued = std::chrono::steady_clock::now();
         std::vector<std::size_t> live;
         live.reserve(limit - base);
-        std::optional<std::shared_future<dta::DelayTable>> table_future;
-        std::optional<std::shared_future<sim::PipelineTrace>> trace_future;
-        std::optional<std::shared_future<std::shared_ptr<const timing::UnitTraceDelays>>>
-            unit_future;
+        std::optional<CellArtifacts> artifacts;
         for (std::size_t index = base; index < limit; ++index) {
-            SweepCell& cell = label_cell(index, dequeued);
-            if (drain_if_cancelled(cell)) continue;
-            const SweepJob& job = jobs_list[index];
+            SweepCell& cell = result.cells[index];
+            std::optional<CellArtifacts> fetched;
+            if (index == base && slot_of_column[group] != kNoSlot) {
+                // Labelled, drained and fetched by its build-ahead task.
+                BuildAhead& slot = build_ahead[slot_of_column[group]];
+                slot.ready.wait();
+                if (!slot.artifacts) continue;  // the task drained or failed the cell
+                fetched = std::move(slot.artifacts);
+            } else {
+                label_cell(index, dequeued);
+                if (drain_if_cancelled(cell)) continue;
+            }
             try {
-                // The token rides into the inject point so an injected
-                // delay rule cannot stall a cell past its deadline.
-                FOCS_FAULT_POINT_CANCEL("eval.cell", cell_key(cell), options.cancel);
-                // One fetch-and-wait triple per cell keeps the cache's
-                // per-class serving accounting identical to per-cell
-                // scheduling; on success the later fetches alias the
-                // earlier ones (the artifacts are built exactly once).
-                auto cell_table =
-                    cache_->delay_table(job.design, analyzer_config, flow_threads, options.cancel);
-                auto cell_trace = cache_->trace(job.kernel);
-                auto cell_unit = cache_->unit_trace_delays(job.kernel, job.design);
-                cell_table.get();
-                cell_trace.get();
-                cell_unit.get();
-                table_future = std::move(cell_table);
-                trace_future = std::move(cell_trace);
-                unit_future = std::move(cell_unit);
+                if (!fetched) fetched = fetch_artifacts(index, cell);
+                // Waiting per cell keeps a failed build on the cell that
+                // observed it; on success the futures alias one artifact.
+                fetched->table.get();
+                fetched->trace.get();
+                fetched->unit.get();
+                artifacts = std::move(fetched);
                 live.push_back(index);
             } catch (const std::exception& e) {
                 record_failure(cell, e);
@@ -364,11 +441,11 @@ SweepResult SweepEngine::run(const SweepSpec& raw_spec, const SweepRunOptions& o
                 .arg("policy", result.cells[live.front()].policy)
                 .arg("voltage_v", job.design.voltage_v)
                 .arg("variants", static_cast<std::int64_t>(live.size()));
-            const sim::PipelineTrace& trace = trace_future->get();
-            const dta::DelayTable& table = table_future->get();
+            const sim::PipelineTrace& trace = artifacts->trace.get();
+            const dta::DelayTable& table = artifacts->table.get();
             const timing::DelayCalculator calculator(job.design);
             const timing::ScaledTraceDelays delays =
-                timing::scale_trace_delays(unit_future->get(), calculator);
+                timing::scale_trace_delays(artifacts->unit.get(), calculator);
 
             // Per-variant generators (mutable; nullptr = ideal), in the
             // column's declaration order.
@@ -412,15 +489,23 @@ SweepResult SweepEngine::run(const SweepSpec& raw_spec, const SweepRunOptions& o
         return true;
     };
 
+    // Workers pull from one atomic cursor over the build-ahead tasks, then
+    // the columns (or, live, the cells). A column is claimed only after
+    // every task, so each slot it waits on is already owned by a worker.
+    const std::size_t work_items = build_ahead.size() + unit_count;
     const auto worker = [&] {
         while (!abort_sweep.load(std::memory_order_relaxed)) {
             const std::size_t index = cursor.fetch_add(1, std::memory_order_relaxed);
-            if (index >= unit_count) return;
-            if (fuse_columns) {
-                if (!evaluate_column(index)) return;
+            if (index >= work_items) return;
+            bool keep_going = true;
+            if (index < build_ahead.size()) {
+                keep_going = run_build_ahead(build_ahead[index]);
+            } else if (fuse_columns) {
+                keep_going = evaluate_column(index - build_ahead.size());
             } else {
-                if (!evaluate_one(index)) return;
+                keep_going = evaluate_one(index);
             }
+            if (!keep_going) return;
         }
     };
 

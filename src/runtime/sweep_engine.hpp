@@ -2,17 +2,31 @@
 //
 // Expands a SweepSpec into one job per (voltage, kernel, policy, generator)
 // grid cell and executes the jobs on a pool of worker threads. Workers pull
-// jobs from a shared atomic cursor (cheap work stealing: whoever is free
-// takes the next cell), instantiate all mutable simulator state privately
-// (policy, clock generator — mutable, so nothing is shared except read-only
-// artifacts), and obtain shared artifacts from an ArtifactCache, where
-// assembled programs, the characterization DelayTable, recorded traces and
-// their voltage-free unit delay arrays are computed exactly once behind
-// shared_futures. When the grid needs fewer distinct delay tables than
-// there are workers, the would-be-idle parallelism is handed to the batched
-// characterization engine as intra-flow worker threads. Results land in a
-// pre-sized vector slot per cell, so aggregation order is the spec's
-// declaration order and a --jobs 8 run is byte-identical to --jobs 1.
+// work from a shared atomic cursor (whoever is free takes the next item),
+// instantiate all mutable simulator state privately (policy, clock
+// generator — mutable, so nothing is shared except read-only artifacts),
+// and obtain shared artifacts from an ArtifactCache, where assembled
+// programs, the characterization DelayTable, recorded traces and their
+// voltage-free unit delay arrays are computed exactly once behind
+// shared_futures. Results land in a pre-sized vector slot per cell, so
+// aggregation order is the spec's declaration order and a --jobs 8 run is
+// byte-identical to --jobs 1.
+//
+// In replay mode with more than one worker and a cache without a byte
+// budget, the work list is scheduled build-first: one build-ahead task per
+// distinct kernel heads it, then the columns in expansion order. A task
+// runs the prologue of its kernel's first cell (cancellation drain,
+// eval.cell fault point, the delay-table, trace and unit-delay lookups;
+// the first task elects the nominal characterization) and publishes the
+// futures to that cell's column. So while one worker characterizes, the
+// others record traces and unit delays instead of waiting behind the same
+// kernel's builds. Every cell still makes its own lookups, so per-class
+// miss/served counts, failure isolation and fault keys do not depend on
+// the schedule. A budgeted cache (the daemon's) keeps the plain column
+// order: the published futures would pin every kernel's trace at once,
+// past the budget. When the grid needs fewer distinct delay tables than
+// there are workers, the would-be-idle parallelism is handed to the
+// batched characterization engine as intra-flow worker threads.
 //
 // Two execution modes produce byte-identical cells:
 //  - kReplay (default): record-once / replay-many. Each (kernel, machine

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <set>
 
 #include "common/error.hpp"
 #include "common/strings.hpp"
@@ -65,6 +66,17 @@ std::vector<std::string> split_list(const std::string& value) {
         if (!piece.empty()) items.push_back(piece);
     }
     return items;
+}
+
+/// Refuses a repeated entry on one axis: it would only evaluate copies of
+/// the same cells. `keys` are the entries' canonical forms.
+void reject_duplicates(const std::string& axis, const std::vector<std::string>& keys) {
+    std::set<std::string> seen;
+    for (const auto& key : keys) {
+        if (!seen.insert(key).second) {
+            throw Error("duplicate " + axis + " '" + key + "' in sweep spec");
+        }
+    }
 }
 
 }  // namespace
@@ -221,6 +233,14 @@ SweepSpec SweepSpec::parse(const std::string& text) {
             throw Error("unknown sweep spec key '" + key + "'");
         }
     }
+    reject_duplicates("kernel", spec.kernels);
+    std::vector<std::string> policies, generators, voltages;
+    for (const auto& policy : spec.policies) policies.push_back(policy.label());
+    for (const auto& generator : spec.generators) generators.push_back(generator.label());
+    for (const double voltage : spec.voltages_v) voltages.push_back(format_double(voltage));
+    reject_duplicates("policy", policies);
+    reject_duplicates("generator", generators);
+    reject_duplicates("voltage", voltages);
     return spec;
 }
 

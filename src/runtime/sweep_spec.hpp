@@ -77,8 +77,9 @@ struct SweepSpec {
     /// (focs::Error) here, before any build: voltages outside the cell
     /// library's calibrated range, taps:N or PLL source counts above a fixed
     /// cap, PLL periods that are not finite and positive, non-finite policy
-    /// parameters, guard_ps outside [0, 1000] ps, and integers that do not
-    /// fit their field.
+    /// parameters, guard_ps outside [0, 1000] ps, integers that do not fit
+    /// their field, and a repeated entry on any axis (kernel name, canonical
+    /// policy or generator label, voltage value).
     static SweepSpec parse(const std::string& text);
     std::string serialize() const;
 };

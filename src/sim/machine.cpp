@@ -1,5 +1,7 @@
 #include "sim/machine.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
 
 namespace focs::sim {
@@ -13,12 +15,17 @@ Machine::Machine(MachineConfig config)
 }
 
 void Machine::load(const assembler::Program& program) {
-    for (const auto& [addr, value] : program.bytes()) {
-        if (addr < config_.dmem_base) {
-            if (!imem_.contains(addr)) throw GuestError("program byte outside instruction SRAM");
-            imem_.write_u8(addr, value);
-        } else {
-            dmem_.write_u8(addr, value);
+    for (const auto& segment : program.segments()) {
+        // A run may straddle dmem_base: its low part is code, the rest data.
+        const std::span<const std::uint8_t> bytes = segment.bytes;
+        const std::size_t code = segment.base >= config_.dmem_base
+                                     ? 0
+                                     : std::min<std::uint64_t>(bytes.size(),
+                                                               config_.dmem_base - segment.base);
+        // write_block throws GuestError for bytes outside either SRAM.
+        if (code > 0) imem_.write_block(segment.base, bytes.first(code));
+        if (code < bytes.size()) {
+            dmem_.write_block(static_cast<std::uint32_t>(segment.base + code), bytes.subspan(code));
         }
     }
     entry_ = program.entry();

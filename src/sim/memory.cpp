@@ -1,5 +1,6 @@
 #include "sim/memory.hpp"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "common/error.hpp"
@@ -25,6 +26,16 @@ std::uint32_t Sram::offset_checked(std::uint32_t addr, std::uint32_t bytes) cons
         throw GuestError(buf);
     }
     return addr - base_;
+}
+
+void Sram::write_block(std::uint32_t addr, std::span<const std::uint8_t> bytes) {
+    if (addr < base_ || addr - base_ + std::uint64_t{bytes.size()} > bytes_.size()) {
+        char buf[112];
+        std::snprintf(buf, sizeof buf, "%s: block of %zu bytes at 0x%08x outside [0x%08x, 0x%08x)",
+                      name_.c_str(), bytes.size(), addr, base_, base_ + size());
+        throw GuestError(buf);
+    }
+    std::copy(bytes.begin(), bytes.end(), bytes_.begin() + (addr - base_));
 }
 
 std::uint8_t Sram::read_u8(std::uint32_t addr) const { return bytes_[offset_checked(addr, 1)]; }

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -32,6 +33,11 @@ public:
     void write_u8(std::uint32_t addr, std::uint8_t value);
     void write_u16(std::uint32_t addr, std::uint16_t value);
     void write_u32(std::uint32_t addr, std::uint32_t value);
+
+    /// Copies `bytes` to [addr, addr + bytes.size()) with no alignment
+    /// requirement (program loading); throws focs::GuestError when the
+    /// range is not inside the macro.
+    void write_block(std::uint32_t addr, std::span<const std::uint8_t> bytes);
 
 private:
     /// Validates range and alignment; throws focs::GuestError on violation.

@@ -64,15 +64,20 @@ str:
 )");
     EXPECT_EQ(p.word_at(kDataBase), 0x11223344u);
     EXPECT_EQ(p.word_at(kDataBase + 4), 1u);
-    EXPECT_EQ(p.bytes().at(kDataBase + 8), 0xaa);
-    EXPECT_EQ(p.bytes().at(kDataBase + 9), 0xbb);
-    EXPECT_EQ(p.bytes().at(kDataBase + 10), 0x7f);
-    EXPECT_EQ(p.bytes().at(kDataBase + 11), 0x80);
-    EXPECT_EQ(p.bytes().at(kDataBase + 12), 0xee);
-    EXPECT_EQ(p.bytes().at(kDataBase + 13), 0xee);
-    EXPECT_EQ(p.bytes().at(kDataBase + 14), 'H');
-    EXPECT_EQ(p.bytes().at(kDataBase + 16), '\n');
-    EXPECT_EQ(p.bytes().at(kDataBase + 17), 0);
+    EXPECT_EQ(p.byte_at(kDataBase + 8), 0xaa);
+    EXPECT_EQ(p.byte_at(kDataBase + 9), 0xbb);
+    EXPECT_EQ(p.byte_at(kDataBase + 10), 0x7f);
+    EXPECT_EQ(p.byte_at(kDataBase + 11), 0x80);
+    EXPECT_EQ(p.byte_at(kDataBase + 12), 0xee);
+    EXPECT_EQ(p.byte_at(kDataBase + 13), 0xee);
+    EXPECT_EQ(p.byte_at(kDataBase + 14), 'H');
+    EXPECT_EQ(p.byte_at(kDataBase + 16), '\n');
+    EXPECT_EQ(p.byte_at(kDataBase + 17), 0);
+    // byte_at reads 0 at an unstored address too: the image must end just
+    // past the stored terminator.
+    ASSERT_EQ(p.segments().size(), 1u);
+    EXPECT_EQ(p.segments()[0].base, kDataBase);
+    EXPECT_EQ(p.segments()[0].end(), kDataBase + 18);
     const auto str = p.symbol("str");
     ASSERT_TRUE(str.has_value());
     EXPECT_EQ(*str, kDataBase + 14);
@@ -189,6 +194,30 @@ tab: .word a, b
     EXPECT_EQ(p.word_at(kDataBase + 4), 4u);
 }
 
+TEST(Assembler, ImageIsFlatRunsWhereLaterStoresWin) {
+    const Program p = assemble(R"(
+.data
+.org 0x00100010
+  .word 0x11111111
+.org 0x00100008
+  .word 0x22222222
+.org 0x0010000c
+  .word 0x33333333
+.org 0x00100012
+  .half 0x4444
+)");
+    // The third word touches both earlier runs, so they merge into one; the
+    // half overlaps the first word and overwrites its low half.
+    ASSERT_EQ(p.segments().size(), 1u);
+    EXPECT_EQ(p.segments()[0].base, kDataBase + 8);
+    EXPECT_EQ(p.image_size(), 12u);
+    EXPECT_EQ(p.word_at(kDataBase + 8), 0x22222222u);
+    EXPECT_EQ(p.word_at(kDataBase + 12), 0x33333333u);
+    EXPECT_EQ(p.word_at(kDataBase + 16), 0x11114444u);
+    EXPECT_EQ(p.byte_at(kDataBase + 7), 0u);  // unset bytes read as zero
+    EXPECT_EQ(p.byte_at(kDataBase + 20), 0u);
+}
+
 // ---- Error handling ----------------------------------------------------
 
 TEST(AssemblerErrors, UnknownMnemonic) {
@@ -223,6 +252,38 @@ TEST(AssemblerErrors, MisalignedBranchTarget) {
     EXPECT_THROW(assemble(".equ odd, 0x102\n  l.j odd + 1\n  l.nop\n"), ParseError);
 }
 
+TEST(AssemblerErrors, LocationCounterWrapIsRefused) {
+    // Past 0xffffffff the counter would wrap: the second word would land on
+    // text word 0 while the listing still showed the l.nop there.
+    EXPECT_THROW(assemble("_start:\n  l.nop\n.data\n.org 0xfffffffc\n"
+                          "  .word 0x11111111, 0x22222222\n"),
+                 ParseError);
+    EXPECT_THROW(assemble(".org 0xfffffff0\n  .space 0x20\n"), ParseError);
+    EXPECT_THROW(assemble(".org 0xfffffffc\n  l.li r3, 1\n"), ParseError);
+    EXPECT_THROW(assemble(".org 0xffffff00\n  .align 0x10000000\n"), ParseError);
+    try {
+        assemble("  l.nop\n.org 0xfffffffc\n  .word 1\n");
+        FAIL() << "expected ParseError";
+    } catch (const ParseError& e) {
+        EXPECT_EQ(e.line(), 3);
+    }
+    // A run that stops short of the wrap is still an image.
+    EXPECT_EQ(assemble(".org 0xfffffff8\n  .word 7\n").word_at(0xfffffff8), 7u);
+}
+
+TEST(AssemblerErrors, OversizedImageIsRefusedBeforeAnyByteIsStored) {
+    // The layout pass refuses these before the image holds a single byte.
+    EXPECT_THROW(assemble("  .space 0xfffffff0\n"), ParseError);
+    EXPECT_THROW(assemble("  .space 0x400001\n"), ParseError);
+    EXPECT_THROW(assemble("  .space 0x300000\n.data\n  .space 0x100001\n"), ParseError);
+    try {
+        assemble("  l.nop\n  .space 0x7fffffff, 0xaa\n");
+        FAIL() << "expected ParseError";
+    } catch (const ParseError& e) {
+        EXPECT_EQ(e.line(), 2);
+    }
+}
+
 TEST(AssemblerErrors, LineNumberReported) {
     try {
         assemble("  l.nop\n  l.nop\n  l.frobnicate\n");
@@ -234,8 +295,11 @@ TEST(AssemblerErrors, LineNumberReported) {
 
 TEST(Assembler, ListingContainsDisassembly) {
     const Program p = assemble("_start:\n  l.addi r3, r0, 7\n  l.nop 0x1\n");
-    const std::string listing = p.listing_text();
-    EXPECT_NE(listing.find("l.addi r3,r0,7"), std::string::npos);
+    EXPECT_EQ(p.listing_text(),
+              "00000000: 9c600007  l.addi r3,r0,7\n"
+              "00000004: 15000001  l.nop 0x1\n");
+    EXPECT_EQ(p.listing()[0].source_line, 2);
+    for (const auto& entry : p.listing()) EXPECT_EQ(entry.word, p.word_at(entry.address));
 }
 
 }  // namespace

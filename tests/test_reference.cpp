@@ -43,8 +43,11 @@ ArchState run_reference(const assembler::Program& program) {
     MachineConfig config;
     Sram imem("imem", 0, config.imem_size);
     Sram dmem("dmem", config.dmem_base, config.dmem_size);
-    for (const auto& [addr, value] : program.bytes()) {
-        (addr < config.dmem_base ? imem : dmem).write_u8(addr, value);
+    for (const auto& segment : program.segments()) {
+        for (std::size_t i = 0; i < segment.bytes.size(); ++i) {
+            const auto addr = static_cast<std::uint32_t>(segment.base + i);
+            (addr < config.dmem_base ? imem : dmem).write_u8(addr, segment.bytes[i]);
+        }
     }
     ReferenceIss iss(imem, dmem);
     iss.reset(program.entry());
@@ -126,7 +129,7 @@ TEST(ReferenceIss, StepLimitGuardsInfiniteLoops) {
     Sram imem("imem", 0, config.imem_size);
     Sram dmem("dmem", config.dmem_base, config.dmem_size);
     const auto program = assembler::assemble("_start:\nspin:\n  l.j spin\n  l.nop\n");
-    for (const auto& [addr, value] : program.bytes()) imem.write_u8(addr, value);
+    for (const auto& segment : program.segments()) imem.write_block(segment.base, segment.bytes);
     ReferenceIss iss(imem, dmem);
     iss.reset(0);
     EXPECT_THROW(iss.run(1000), GuestError);

@@ -151,35 +151,42 @@ TEST(SweepEngine, ReplayReusesTracesAcrossSweeps) {
 }
 
 TEST(SweepEngine, StampsCacheOutcomeMetrics) {
-    auto cache = std::make_shared<ArtifactCache>();
-    const SweepEngine engine(4, cache, EvalMode::kReplay);
-    const SweepResult result = engine.run(small_spec());
-    // Misses are the deterministic exactly-once builds; the hit/wait split
-    // depends on thread scheduling, so the assertions use the served sums.
-    EXPECT_EQ(result.metrics.program.miss, 3u);      // one per kernel (trace builders)
-    EXPECT_EQ(result.metrics.delay_table.miss, 1u);  // one operating point
-    EXPECT_EQ(result.metrics.trace.miss, 3u);
-    EXPECT_EQ(result.metrics.unit_delays.miss, 3u);
-    // 12 cells plus 3 unit-delay builders request the trace; 3 of the 15
-    // requests build, the rest are served from the shared futures.
-    EXPECT_EQ(result.metrics.trace.served(), 12u);
-    EXPECT_EQ(result.metrics.unit_delays.served(), 9u);
-    EXPECT_EQ(result.metrics.delay_table.served(), 11u);
-    EXPECT_EQ(result.metrics.program.served(), 0u);
-    // Wall-time distribution: ordered percentiles over populated samples.
-    EXPECT_GE(result.metrics.cell_wall_ms_p95, result.metrics.cell_wall_ms_p50);
-    EXPECT_GE(result.metrics.cell_wall_ms_max, result.metrics.cell_wall_ms_p95);
-    EXPECT_GT(result.metrics.cell_wall_ms_max, 0.0);
-    for (const auto& cell : result.cells) EXPECT_GE(cell.wall_ms, 0.0);
+    // The build-ahead schedule moves lookups in time, never between cells:
+    // every job count makes the same lookups, so misses and served sums
+    // match exactly.
+    for (const int jobs : {1, 2, 4, 8}) {
+        SCOPED_TRACE("jobs=" + std::to_string(jobs));
+        auto cache = std::make_shared<ArtifactCache>();
+        const SweepEngine engine(jobs, cache, EvalMode::kReplay);
+        const SweepResult result = engine.run(small_spec());
+        // Misses are the deterministic exactly-once builds; the hit/wait
+        // split depends on thread scheduling, so the assertions use the
+        // served sums.
+        EXPECT_EQ(result.metrics.program.miss, 3u);      // one per kernel (trace builders)
+        EXPECT_EQ(result.metrics.delay_table.miss, 1u);  // one operating point
+        EXPECT_EQ(result.metrics.trace.miss, 3u);
+        EXPECT_EQ(result.metrics.unit_delays.miss, 3u);
+        // 12 cells plus 3 unit-delay builders request the trace; 3 of the
+        // 15 requests build, the rest are served from the shared futures.
+        EXPECT_EQ(result.metrics.trace.served(), 12u);
+        EXPECT_EQ(result.metrics.unit_delays.served(), 9u);
+        EXPECT_EQ(result.metrics.delay_table.served(), 11u);
+        EXPECT_EQ(result.metrics.program.served(), 0u);
+        // Wall-time distribution: ordered percentiles over populated samples.
+        EXPECT_GE(result.metrics.cell_wall_ms_p95, result.metrics.cell_wall_ms_p50);
+        EXPECT_GE(result.metrics.cell_wall_ms_max, result.metrics.cell_wall_ms_p95);
+        EXPECT_GT(result.metrics.cell_wall_ms_max, 0.0);
+        for (const auto& cell : result.cells) EXPECT_GE(cell.wall_ms, 0.0);
 
-    // A warm cache builds nothing: every request is served.
-    const SweepResult again = engine.run(small_spec());
-    EXPECT_EQ(again.metrics.trace.miss, 0u);
-    EXPECT_EQ(again.metrics.unit_delays.miss, 0u);
-    EXPECT_EQ(again.metrics.delay_table.miss, 0u);
-    EXPECT_EQ(again.metrics.trace.served(), 12u);
-    EXPECT_EQ(again.metrics.unit_delays.served(), 12u);
-    EXPECT_EQ(again.metrics.delay_table.served(), 12u);
+        // A warm cache builds nothing: every request is served.
+        const SweepResult again = engine.run(small_spec());
+        EXPECT_EQ(again.metrics.trace.miss, 0u);
+        EXPECT_EQ(again.metrics.unit_delays.miss, 0u);
+        EXPECT_EQ(again.metrics.delay_table.miss, 0u);
+        EXPECT_EQ(again.metrics.trace.served(), 12u);
+        EXPECT_EQ(again.metrics.unit_delays.served(), 12u);
+        EXPECT_EQ(again.metrics.delay_table.served(), 12u);
+    }
 }
 
 TEST(SweepEngine, StampsSpecTextAndHash) {
@@ -294,6 +301,8 @@ TEST(SweepEngine, KeepGoingIsolatesFailedCellsAcrossJobCounts) {
     // carry their status and error, every other cell completes, and *which*
     // cells fail is a pure function of the cell key — so the canonical
     // document is byte-identical at any job count even on a faulty run.
+    // Under this seed fibcall/lut/ideal fails: a build-ahead task's cell,
+    // whose column must still get the task's slot and skip it.
     const GlobalFaultGuard guard("eval.cell:0.5:seed=11");
     const SweepResult serial = SweepEngine(1).run(small_spec());
     EXPECT_GT(serial.cells_failed, 0u);
@@ -323,18 +332,31 @@ TEST(SweepEngine, KeepGoingIsolatesFailedCellsAcrossJobCounts) {
 
 TEST(SweepEngine, FailFastNamesTheFailingCell) {
     FOCS_REQUIRE_FAULT_POINTS();
-    const GlobalFaultGuard guard("eval.cell:1:max=1");
     SweepRunOptions options;
     options.failure_mode = FailureMode::kFailFast;
+    {
+        const GlobalFaultGuard guard("eval.cell:1:max=1");
+        try {
+            SweepEngine(1).run(small_spec(), options);
+            FAIL() << "fail-fast sweep did not throw";
+        } catch (const Error& e) {
+            EXPECT_EQ(e.code(), ErrorCode::kInjected);
+            // The rethrown failure names the failing cell's grid coordinates
+            // (first cell in declaration order under one worker).
+            EXPECT_NE(std::string(e.what()).find("sweep cell crc32/lut/ideal@"),
+                      std::string::npos);
+        }
+    }
+    // At 4 jobs the first failure lands in whichever build-ahead task
+    // reaches its fault point first. The sweep must still return (no
+    // column left waiting on a build-ahead slot) and name a cell.
+    const GlobalFaultGuard guard("eval.cell:1:max=1");
     try {
-        SweepEngine(1).run(small_spec(), options);
+        SweepEngine(4).run(small_spec(), options);
         FAIL() << "fail-fast sweep did not throw";
     } catch (const Error& e) {
         EXPECT_EQ(e.code(), ErrorCode::kInjected);
-        // The rethrown failure names the failing cell's grid coordinates
-        // (first cell in declaration order under one worker).
-        EXPECT_NE(std::string(e.what()).find("sweep cell crc32/lut/ideal@"),
-                  std::string::npos);
+        EXPECT_NE(std::string(e.what()).find("sweep cell "), std::string::npos);
     }
 }
 
@@ -368,21 +390,32 @@ TEST(SweepEngine, ExpiredDeadlineDrainsQueueAsCancelledCells) {
 
 TEST(SweepEngine, MidRunDeadlineReturnsPartialResults) {
     FOCS_REQUIRE_FAULT_POINTS();
-    // Slow every cell down with a delay fault so a short deadline fires
-    // mid-sweep: the run still returns normally, with each cell either ok,
-    // or cancelled at the boundary. How far the sweep got is timing-
+    // A delay fault stalls the sweep so a short deadline fires mid-run: on
+    // every cell at 1 job, or at 4 jobs inside the nominal characterization
+    // the first build-ahead task elects while the other tasks and columns
+    // wait on it. The run still returns normally, with each cell either
+    // ok, or cancelled at the boundary. How far the sweep got is timing-
     // dependent; the status partition is not.
-    const GlobalFaultGuard guard("eval.cell:1:delay_ms=20");
-    const CancellationToken deadline = CancellationToken::with_deadline_ms(5);
-    SweepRunOptions options;
-    options.cancel = &deadline;
-    const SweepResult result = SweepEngine(1).run(small_spec(), options);
-    EXPECT_GE(result.cells_cancelled, 1u);
-    EXPECT_EQ(result.cells_failed, 0u);
-    EXPECT_EQ(result.cells_ok + result.cells_cancelled, result.cells.size());
-    for (const auto& cell : result.cells) {
-        if (!cell.ok()) {
-            EXPECT_EQ(cell.error_code, ErrorCode::kDeadline);
+    struct Case {
+        const char* fault;
+        double deadline_ms;
+        int jobs;
+    };
+    for (const Case& c : {Case{"eval.cell:1:delay_ms=20", 5, 1},
+                          Case{"build.nominal_table:1:delay_ms=2000", 50, 4}}) {
+        SCOPED_TRACE(c.fault);
+        const GlobalFaultGuard guard(c.fault);
+        const CancellationToken deadline = CancellationToken::with_deadline_ms(c.deadline_ms);
+        SweepRunOptions options;
+        options.cancel = &deadline;
+        const SweepResult result = SweepEngine(c.jobs).run(small_spec(), options);
+        EXPECT_GE(result.cells_cancelled, 1u);
+        EXPECT_EQ(result.cells_failed, 0u);
+        EXPECT_EQ(result.cells_ok + result.cells_cancelled, result.cells.size());
+        for (const auto& cell : result.cells) {
+            if (!cell.ok()) {
+                EXPECT_EQ(cell.error_code, ErrorCode::kDeadline);
+            }
         }
     }
 }
@@ -585,6 +618,17 @@ TEST(SweepSpec, RejectsBadInput) {
     std::string many_sources = "generators = pll:1000";
     for (int i = 1; i <= 64; ++i) many_sources.append("/").append(std::to_string(1000 + i));
     EXPECT_THROW(SweepSpec::parse(many_sources + ":4\n"), Error);  // 65 sources
+    // A repeated axis entry would only evaluate copies of the same cells,
+    // also when spelled differently (the policy's default parameter, the
+    // generator's canonical label, an equal voltage) or split over lines.
+    EXPECT_THROW(SweepSpec::parse("kernels = fibcall, fibcall\n"), Error);
+    EXPECT_THROW(SweepSpec::parse("policies = lut, lut\n"), Error);
+    EXPECT_THROW(SweepSpec::parse("policies = approx-lut, approx-lut:0.9\n"), Error);
+    EXPECT_THROW(SweepSpec::parse("policies = lut\npolicies = lut\n"), Error);
+    EXPECT_THROW(SweepSpec::parse("generators = taps:8, taps:8\n"), Error);
+    EXPECT_THROW(SweepSpec::parse("generators = pll:1300/1500:4, pll:1300.0/1500:4\n"), Error);
+    EXPECT_THROW(SweepSpec::parse("voltages = 0.7, 0.70\n"), Error);
+    EXPECT_EQ(SweepSpec::parse("policies = approx-lut, approx-lut:0.8\n").policies.size(), 2u);
     // The CLI's --voltage goes through the same check.
     EXPECT_THROW(parse_voltage("5"), Error);
     EXPECT_THROW(parse_voltage("0.2"), Error);
@@ -894,6 +938,27 @@ TEST(ArtifactCacheLru, BudgetedSweepProducesByteIdenticalResults) {
     const SweepResult result = budgeted.run(small_spec());
     EXPECT_EQ(to_json(result, /*include_timing=*/false),
               to_json(reference, /*include_timing=*/false));
+}
+
+TEST(ArtifactCacheLru, BudgetedSweepBuildsEachTraceOnceWhenTwoFit) {
+    // small_spec's three traces are ~6.7 MB each. A budget that holds two
+    // of them (plus the small artifacts) but not three evicts a kernel's
+    // trace only once its columns are done with it, so each trace and unit
+    // array is built once at every job count. Fetching every kernel's
+    // artifacts ahead of its columns would pin all three traces past the
+    // budget, and the sibling cells of an evicted kernel would rebuild.
+    for (const int jobs : {1, 4}) {
+        SCOPED_TRACE("jobs=" + std::to_string(jobs));
+        auto cache = std::make_shared<ArtifactCache>();
+        cache->set_byte_budget(14 * 1024 * 1024);
+        const SweepEngine engine(jobs, cache, EvalMode::kReplay);
+        const SweepResult result = engine.run(small_spec());
+        EXPECT_EQ(result.cells_ok, 12u);
+        EXPECT_EQ(result.metrics.delay_table.miss, 1u);
+        EXPECT_EQ(result.metrics.trace.miss, 3u);
+        EXPECT_EQ(result.metrics.unit_delays.miss, 3u);
+        EXPECT_GT(cache->lru_evictions(), 0u);
+    }
 }
 
 }  // namespace

@@ -163,6 +163,15 @@ TEST(SweepService, RejectsMalformedRequests) {
         EXPECT_NE(bad_voltage.body.find("calibrated"), std::string::npos);
         // A non-finite guard band -> 400, never a run with the default guard.
         EXPECT_EQ(post_sweep(server.port(), "kernels = crc32\nguard_ps = nan\n").status, 400);
+        // A repeated axis entry -> 400, never copies of one cell.
+        for (const char* body :
+             {"kernels = fibcall, fibcall\n", "kernels = crc32\npolicies = lut, lut\n",
+              "kernels = crc32\ngenerators = taps:8, taps:8\n",
+              "kernels = crc32\nvoltages = 0.7, 0.70\n"}) {
+            const ClientResponse duplicate = post_sweep(server.port(), body);
+            EXPECT_EQ(duplicate.status, 400) << body;
+            EXPECT_NE(duplicate.body.find("duplicate"), std::string::npos) << body;
+        }
 
         // Malformed deadline header -> 400 before admission.
         HttpRequest bad_deadline;
@@ -183,7 +192,7 @@ TEST(SweepService, RejectsMalformedRequests) {
         EXPECT_EQ(http_request(server.port(), wrong_method).status, 405);
 
         const ServerStats stats = server.stats();
-        EXPECT_EQ(stats.bad_request, 6u);
+        EXPECT_EQ(stats.bad_request, 10u);
         EXPECT_EQ(stats.served(), 0u);
     });
 }

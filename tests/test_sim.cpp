@@ -238,6 +238,45 @@ _start:
     EXPECT_EQ(reg(o, 12), 0x12121213u);
 }
 
+// ---- Program loading ----------------------------------------------------------
+
+TEST(Loader, OrgGapsAcrossBothSectionsLoadAtTheirAddresses) {
+    const auto program = assembler::assemble(R"(
+_start:
+  l.nop 0x1
+.org 0x40
+  .word 0xa1a2a3a4
+.data
+.org 0x00100020
+  .byte 0xd1, 0xd2, 0xd3
+.org 0x00100008
+  .half 0xbeef
+)");
+    ASSERT_EQ(program.segments().size(), 4u);
+    Machine machine;
+    machine.load(program);
+    // Every stored byte at its address, zeros in the gaps.
+    for (std::uint32_t addr = 0; addr < 0x80; ++addr) {
+        EXPECT_EQ(machine.imem().read_u8(addr), program.byte_at(addr)) << addr;
+    }
+    for (std::uint32_t addr = assembler::kDataBase; addr < assembler::kDataBase + 0x40; ++addr) {
+        EXPECT_EQ(machine.dmem().read_u8(addr), program.byte_at(addr)) << addr;
+    }
+    EXPECT_EQ(machine.imem().read_u32(0), 0x15000001u);
+    EXPECT_EQ(machine.imem().read_u32(0x3c), 0u);
+    EXPECT_EQ(machine.imem().read_u32(0x40), 0xa1a2a3a4u);
+    EXPECT_EQ(machine.dmem().read_u16(assembler::kDataBase + 8), 0xbeefu);
+    EXPECT_EQ(machine.dmem().read_u32(assembler::kDataBase + 0x20), 0xd1d2d300u);
+
+    // Bytes outside either SRAM are still a guest fault at load time: past
+    // the 64 KiB instruction SRAM, straddling its end, past the data SRAM.
+    Machine other;
+    EXPECT_THROW(other.load(assembler::assemble(".org 0x10000\n  l.nop\n")), GuestError);
+    EXPECT_THROW(other.load(assembler::assemble(".org 0xfffe\n  .word 1\n")), GuestError);
+    EXPECT_THROW(other.load(assembler::assemble(".data\n.org 0x00110000\n  .word 1\n")),
+                 GuestError);
+}
+
 // ---- Register file invariants ----------------------------------------------
 
 TEST(RegFile, R0IsHardwiredZero) {

@@ -365,7 +365,7 @@ int cmd_asm(const std::vector<std::string>& args) {
     for (const auto& [name, value] : program.symbols()) {
         std::printf("  %-24s 0x%08x\n", name.c_str(), value);
     }
-    std::printf("entry: 0x%08x, image bytes: %zu\n", program.entry(), program.bytes().size());
+    std::printf("entry: 0x%08x, image bytes: %zu\n", program.entry(), program.image_size());
     return 0;
 }
 
