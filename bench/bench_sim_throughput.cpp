@@ -523,7 +523,7 @@ void emit_artifact() {
 
     // Fused multi-generator replay: one {ideal, taps:8, pll} policy column
     // scored by a single run_fused pass (the request fill paid once, each
-    // variant paying only its own grant/integrate walk) vs G independent
+    // variant paying only its own block grant and reduction) vs G independent
     // run() calls — byte-identical results, so the ratio is pure fill
     // amortization. Generators are stateful and re-instantiated inside the
     // timed body on both sides.

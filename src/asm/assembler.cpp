@@ -450,7 +450,13 @@ private:
                 const std::uint32_t target = eval.evaluate(operands[0]);
                 const auto diff = static_cast<std::int32_t>(target - lc);
                 if (diff % 4 != 0) throw ParseError("branch target not word aligned", st.line);
-                inst.imm = diff / 4;
+                const std::int32_t words = diff / 4;
+                if (words < -(1 << 25) || words >= (1 << 25)) {
+                    throw ParseError("branch target " + std::to_string(words) +
+                                         " words away does not fit the 26-bit displacement",
+                                     st.line);
+                }
+                inst.imm = words;
                 if (*opcode == Opcode::kJal) inst.rd = 9;
             }
             emit_word(inst, lc, st.line);
@@ -496,9 +502,11 @@ private:
         switch (*opcode) {
             case Opcode::kNop: {
                 if (operands.size() > 1) need(1);
-                inst.imm = operands.empty()
-                               ? 0
-                               : static_cast<std::int32_t>(eval.evaluate(operands[0]));
+                if (!operands.empty()) {
+                    const std::uint32_t value = eval.evaluate(operands[0]);
+                    check_unsigned16(value, st.line);
+                    inst.imm = static_cast<std::int32_t>(value);
+                }
                 break;
             }
             case Opcode::kMovhi: {

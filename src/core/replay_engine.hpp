@@ -7,9 +7,11 @@
 // (make_fill) built on the kernel table of replay_kernels.hpp: plain
 // indexed gathers over whole trace blocks, no virtual dispatch, no
 // CycleRecord reconstruction. One block loop then scores every generator
-// variant of a column from the same filled block: ideal variants through
-// the table's reduce_ideal, stateful clock generators by a sequential
-// grant walk. The required-period ground truth is consumed as a
+// variant of a column from the same filled block: a stateful clock
+// generator grants the whole block in one grant_block call (its state
+// carried across blocks), and every variant, ideal or not, goes through
+// the table's reduce_ideal over its granted block. No call in the block
+// loop is made per cycle. The required-period ground truth is consumed as a
 // ScaledTraceDelays view — the trace's voltage-free unit array plus the
 // operating point's delay scale — so every voltage point of a sweep shares
 // one resident array and the safety check is one multiply per cycle.
@@ -89,8 +91,9 @@ public:
     /// (nullptr = ideal) in a single pass over the trace. The requested-
     /// period array of a block depends only on the policy, never on the
     /// generator, so one block fill serves every variant; each variant then
-    /// pays only its own grant/integrate/safety walk, in the live engine's
-    /// per-cycle order, so its figures are those of its own live run.
+    /// pays only its own block grant and integrate/safety reduction, in the
+    /// live engine's per-cycle order, so its figures are those of its own
+    /// live run.
     std::vector<DcaRunResult> run_fused(
         const PolicySpec& spec, const std::vector<clocking::ClockGenerator*>& generators) const;
 

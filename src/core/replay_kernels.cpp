@@ -28,19 +28,18 @@ void scale_scalar(const double* in, double factor, std::size_t count, double* ou
     for (std::size_t i = 0; i < count; ++i) out[i] = in[i] * factor;
 }
 
-void reduce_ideal_scalar(const double* requested, const double* unit, double scale,
+void reduce_ideal_scalar(const double* granted, const double* unit, double scale,
                          double tolerance, std::size_t begin, std::size_t count, double* total,
                          std::uint64_t* violations, double* worst) {
     double total_time_ps = *total;
     std::uint64_t violation_count = *violations;
     double worst_violation_ps = *worst;
     for (std::size_t i = 0; i < count; ++i) {
-        const double granted = requested[i];
-        total_time_ps += granted;
+        total_time_ps += granted[i];
         const double required = unit[begin + i] * scale;
-        if (granted + tolerance < required) {
+        if (granted[i] + tolerance < required) {
             ++violation_count;
-            worst_violation_ps = std::max(worst_violation_ps, required - granted);
+            worst_violation_ps = std::max(worst_violation_ps, required - granted[i]);
         }
     }
     *total = total_time_ps;

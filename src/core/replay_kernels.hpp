@@ -46,13 +46,14 @@ struct ReplayKernels {
     /// out[i] = fl(in[i] * factor), elementwise; `in` may alias `out`
     /// (the genie fill and the approx-lut compression multiply).
     void (*scale)(const double* in, double factor, std::size_t count, double* out);
-    /// Grant/integrate/safety reduction of one ideal-generator block
-    /// (granted == requested): *total accumulates requested[i] in strict
-    /// cycle order; a violation whenever fl(requested[i] + tolerance) <
+    /// Integrate/safety reduction of any granted block: the requests
+    /// themselves for an ideal variant, a generator's grant_block output
+    /// for a stateful one. *total accumulates granted[i] in strict cycle
+    /// order; a violation whenever fl(granted[i] + tolerance) <
     /// fl(unit[begin+i] * scale), with *worst maxed over the violating
-    /// fl(required - requested) deltas. Bitwise the same figures as a
-    /// per-cycle loop at any block size.
-    void (*reduce_ideal)(const double* requested, const double* unit, double scale,
+    /// fl(required - granted) deltas. Bitwise the same figures as the live
+    /// engine's per-cycle loop at any block size.
+    void (*reduce_ideal)(const double* granted, const double* unit, double scale,
                          double tolerance, std::size_t begin, std::size_t count, double* total,
                          std::uint64_t* violations, double* worst);
     /// "scalar" | "avx2" | "neon" — surfaced in the bench artifact.

@@ -20,7 +20,7 @@
 // scalar compare-and-replace, multiplies and the tolerance add are the
 // same IEEE ops, and the violation count / worst-delta reductions are
 // order-free. The integrated total is summed in strict cycle order from
-// the same requested[] values the vector lanes see.
+// the same granted[] values the vector lanes see.
 #include "core/replay_kernels.hpp"
 
 #if defined(FOCS_SIMD_ENABLED) && defined(__AVX2__)
@@ -74,7 +74,7 @@ void scale_avx2(const double* in, double factor, std::size_t count, double* out)
     for (; i < count; ++i) out[i] = in[i] * factor;
 }
 
-void reduce_ideal_avx2(const double* requested, const double* unit, double scale,
+void reduce_ideal_avx2(const double* granted, const double* unit, double scale,
                        double tolerance, std::size_t begin, std::size_t count, double* total,
                        std::uint64_t* violations, double* worst) {
     double total_time_ps = *total;
@@ -88,36 +88,35 @@ void reduce_ideal_avx2(const double* requested, const double* unit, double scale
     __m256d vworst = _mm256_set1_pd(worst_violation_ps);
     std::size_t i = 0;
     for (; i + 4 <= count; i += 4) {
-        const __m256d granted = _mm256_loadu_pd(requested + i);
+        const __m256d vgranted = _mm256_loadu_pd(granted + i);
         const __m256d required =
             _mm256_mul_pd(_mm256_loadu_pd(unit + begin + i), vscale);
         const __m256d mask =
-            _mm256_cmp_pd(_mm256_add_pd(granted, vtol), required, _CMP_LT_OQ);
+            _mm256_cmp_pd(_mm256_add_pd(vgranted, vtol), required, _CMP_LT_OQ);
         const int bits = _mm256_movemask_pd(mask);
         if (bits != 0) {
             violation_count += static_cast<unsigned>(__builtin_popcount(static_cast<unsigned>(bits)));
             // Violating lanes contribute required - granted; others 0.0,
             // absorbed by the max (worst is never negative).
             vworst = _mm256_max_pd(
-                vworst, _mm256_and_pd(mask, _mm256_sub_pd(required, granted)));
+                vworst, _mm256_and_pd(mask, _mm256_sub_pd(required, vgranted)));
         }
         // The integrated time is the one order-sensitive reduction: strict
         // cycle order, same as the scalar reference.
-        total_time_ps += requested[i];
-        total_time_ps += requested[i + 1];
-        total_time_ps += requested[i + 2];
-        total_time_ps += requested[i + 3];
+        total_time_ps += granted[i];
+        total_time_ps += granted[i + 1];
+        total_time_ps += granted[i + 2];
+        total_time_ps += granted[i + 3];
     }
     alignas(32) double lanes[4];
     _mm256_store_pd(lanes, vworst);
     worst_violation_ps = std::max(std::max(lanes[0], lanes[1]), std::max(lanes[2], lanes[3]));
     for (; i < count; ++i) {
-        const double granted = requested[i];
-        total_time_ps += granted;
+        total_time_ps += granted[i];
         const double required = unit[begin + i] * scale;
-        if (granted + tolerance < required) {
+        if (granted[i] + tolerance < required) {
             ++violation_count;
-            worst_violation_ps = std::max(worst_violation_ps, required - granted);
+            worst_violation_ps = std::max(worst_violation_ps, required - granted[i]);
         }
     }
     *total = total_time_ps;
@@ -184,7 +183,7 @@ void scale_neon(const double* in, double factor, std::size_t count, double* out)
     for (; i < count; ++i) out[i] = in[i] * factor;
 }
 
-void reduce_ideal_neon(const double* requested, const double* unit, double scale,
+void reduce_ideal_neon(const double* granted, const double* unit, double scale,
                        double tolerance, std::size_t begin, std::size_t count, double* total,
                        std::uint64_t* violations, double* worst) {
     double total_time_ps = *total;
@@ -195,26 +194,25 @@ void reduce_ideal_neon(const double* requested, const double* unit, double scale
     float64x2_t vworst = vdupq_n_f64(worst_violation_ps);
     std::size_t i = 0;
     for (; i + 2 <= count; i += 2) {
-        const float64x2_t granted = vld1q_f64(requested + i);
+        const float64x2_t vgranted = vld1q_f64(granted + i);
         const float64x2_t required = vmulq_f64(vld1q_f64(unit + begin + i), vscale);
-        const uint64x2_t mask = vcltq_f64(vaddq_f64(granted, vtol), required);
+        const uint64x2_t mask = vcltq_f64(vaddq_f64(vgranted, vtol), required);
         if ((vgetq_lane_u64(mask, 0) | vgetq_lane_u64(mask, 1)) != 0) {
             violation_count += (vgetq_lane_u64(mask, 0) >> 63) + (vgetq_lane_u64(mask, 1) >> 63);
             const float64x2_t delta = vreinterpretq_f64_u64(
-                vandq_u64(mask, vreinterpretq_u64_f64(vsubq_f64(required, granted))));
+                vandq_u64(mask, vreinterpretq_u64_f64(vsubq_f64(required, vgranted))));
             vworst = vmaxq_f64(vworst, delta);
         }
-        total_time_ps += requested[i];
-        total_time_ps += requested[i + 1];
+        total_time_ps += granted[i];
+        total_time_ps += granted[i + 1];
     }
     worst_violation_ps = std::max(vgetq_lane_f64(vworst, 0), vgetq_lane_f64(vworst, 1));
     for (; i < count; ++i) {
-        const double granted = requested[i];
-        total_time_ps += granted;
+        total_time_ps += granted[i];
         const double required = unit[begin + i] * scale;
-        if (granted + tolerance < required) {
+        if (granted[i] + tolerance < required) {
             ++violation_count;
-            worst_violation_ps = std::max(worst_violation_ps, required - granted);
+            worst_violation_ps = std::max(worst_violation_ps, required - granted[i]);
         }
     }
     *total = total_time_ps;

@@ -199,7 +199,7 @@ SweepSpec SweepSpec::parse(const std::string& text) {
         const std::string key = std::string(trim(line.substr(0, eq)));
         const std::string value = std::string(trim(line.substr(eq + 1)));
         if (key == "kernels") {
-            spec.kernels = split_list(value);
+            for (const auto& name : split_list(value)) spec.kernels.push_back(name);
         } else if (key == "policies") {
             for (const auto& name : split_list(value)) {
                 spec.policies.push_back(core::PolicySpec::parse(name));

@@ -2,6 +2,8 @@
 // error reporting, and golden encodings.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "asm/assembler.hpp"
 #include "common/error.hpp"
 #include "isa/encoding.hpp"
@@ -250,6 +252,36 @@ TEST(AssemblerErrors, BadRegister) {
 
 TEST(AssemblerErrors, MisalignedBranchTarget) {
     EXPECT_THROW(assemble(".equ odd, 0x102\n  l.j odd + 1\n  l.nop\n"), ParseError);
+}
+
+/// The ParseError `source` raises, or a failure when it assembles.
+ParseError parse_error_of(const std::string& source) {
+    try {
+        assemble(source);
+    } catch (const ParseError& e) {
+        return e;
+    }
+    ADD_FAILURE() << "expected ParseError for: " << source;
+    return ParseError("assembled");
+}
+
+TEST(AssemblerErrors, NopImmediateOutOfRange) {
+    // isa::encode keeps 16 bits, so 0x12345 would assemble as l.nop 0x2345.
+    EXPECT_EQ(parse_error_of("  l.nop\n  l.nop 0x12345\n").line(), 2);
+    EXPECT_EQ(parse_error_of("  l.nop -1\n").line(), 1);
+    EXPECT_EQ(assemble("  l.nop 0xffff\n").word_at(0), 0x1500ffffu);
+}
+
+TEST(AssemblerErrors, BranchTargetOutOfRange) {
+    // A jump or branch reaches +-2^25 words; beyond it the error names the
+    // .s line, not the encoder.
+    const ParseError forward = parse_error_of("  l.nop\n  l.j 0x10000000\n");
+    EXPECT_EQ(forward.line(), 2);
+    EXPECT_NE(std::string(forward.what()).find("26-bit"), std::string::npos);
+    EXPECT_EQ(parse_error_of(".org 0x10000000\n  l.bf 0\n").line(), 2);
+    // The farthest targets in each direction still assemble.
+    EXPECT_EQ(assemble("  l.j 0x7fffffc\n").word_at(0), 0x01ffffffu);
+    EXPECT_EQ(assemble(".org 0x8000000\n  l.j 0\n").word_at(0x8000000), 0x02000000u);
 }
 
 TEST(AssemblerErrors, LocationCounterWrapIsRefused) {

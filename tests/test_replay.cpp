@@ -79,16 +79,30 @@ void expect_identical(const DcaRunResult& live, const DcaRunResult& replayed) {
     EXPECT_EQ(live.guest.reports, replayed.guest.reports);
 }
 
+/// Generators 0-2 are the families of the realistic grid (ideal, taps:8 and
+/// a PLL bank with a dwell); 3-8 are the edges of the block grants: one,
+/// two and the most taps a spec allows, a one-source bank, a bank with no
+/// dwell and a bank with duplicate periods.
+constexpr int kGeneratorCount = 9;
+
 std::unique_ptr<clocking::ClockGenerator> make_generator(int which, double static_period_ps) {
+    const auto taps = [&](int count) {
+        return std::make_unique<clocking::QuantizedClockGenerator>(
+            clocking::QuantizedClockGenerator::for_static_period(static_period_ps, count));
+    };
+    const auto pll = [&](std::vector<double> fractions, int dwell) {
+        for (double& fraction : fractions) fraction *= static_period_ps;
+        return std::make_unique<clocking::PllBankClockGenerator>(std::move(fractions), dwell);
+    };
     switch (which) {
-        case 1:
-            return std::make_unique<clocking::QuantizedClockGenerator>(
-                clocking::QuantizedClockGenerator::for_static_period(static_period_ps, 8));
-        case 2:
-            return std::make_unique<clocking::PllBankClockGenerator>(
-                std::vector<double>{0.6 * static_period_ps, 0.8 * static_period_ps,
-                                    static_period_ps},
-                4);
+        case 1: return taps(8);
+        case 2: return pll({0.6, 0.8, 1.0}, 4);
+        case 3: return taps(1);
+        case 4: return taps(2);
+        case 5: return taps(4096);
+        case 6: return pll({0.75}, 4);
+        case 7: return pll({0.6, 0.8, 1.0}, 0);
+        case 8: return pll({0.6, 0.8, 0.8, 1.0}, 2);
         default: return nullptr;  // ideal
     }
 }
@@ -97,7 +111,7 @@ TEST(Replay, MatchesLiveForEveryPolicyAndGenerator) {
     const ReplayFixture& f = fixture();
     const ReplayEvaluationEngine engine(f.trace, f.delays, f.table);
     for (const PolicyKind kind : kAllKinds) {
-        for (int which = 0; which < 3; ++which) {
+        for (int which = 0; which < kGeneratorCount; ++which) {
             SCOPED_TRACE(policy_kind_name(kind) + "/generator" + std::to_string(which));
             auto live_generator = make_generator(which, f.delays.static_period_ps);
             const DcaRunResult live =
@@ -132,7 +146,7 @@ TEST(Replay, BlockBoundariesDoNotChangeResults) {
         options.block_cycles = block;
         const ReplayEvaluationEngine engine(f.trace, f.delays, f.table, options);
         for (const PolicyKind kind : kAllKinds) {
-            for (int which = 0; which < 3; ++which) {
+            for (int which = 0; which < kGeneratorCount; ++which) {
                 SCOPED_TRACE("block=" + std::to_string(block) + " " + policy_kind_name(kind) +
                              "/generator" + std::to_string(which));
                 auto generator_a = make_generator(which, f.delays.static_period_ps);
@@ -157,7 +171,7 @@ TEST(Replay, ParameterizedSpecsDispatchToKernelsAndMatchLive) {
     for (const char* text : {"approx-lut:0.8", "approx-lut:0.95", "dual-cycle:3",
                              "dual-cycle:1", "dual-cycle:1.5"}) {
         const PolicySpec spec = PolicySpec::parse(text);
-        for (int which = 0; which < 3; ++which) {
+        for (int which = 0; which < kGeneratorCount; ++which) {
             SCOPED_TRACE(std::string(text) + "/generator" + std::to_string(which));
             auto live_generator = make_generator(which, f.delays.static_period_ps);
             const DcaRunResult live =
@@ -195,13 +209,13 @@ TEST(Replay, FusedRunIsByteIdenticalToPerVariantRuns) {
         SCOPED_TRACE(spec.label());
         std::vector<std::unique_ptr<clocking::ClockGenerator>> owned;
         std::vector<clocking::ClockGenerator*> variants;
-        for (int which = 0; which < 3; ++which) {
+        for (int which = 0; which < kGeneratorCount; ++which) {
             owned.push_back(make_generator(which, f.delays.static_period_ps));
             variants.push_back(owned.back().get());  // nullptr for ideal
         }
         const auto fused = engine.run_fused(spec, variants);
         ASSERT_EQ(fused.size(), variants.size());
-        for (int which = 0; which < 3; ++which) {
+        for (int which = 0; which < kGeneratorCount; ++which) {
             SCOPED_TRACE("generator" + std::to_string(which));
             auto solo = make_generator(which, f.delays.static_period_ps);
             expect_identical(engine.run(spec, solo.get()), fused[static_cast<std::size_t>(which)]);
@@ -346,7 +360,7 @@ TEST(Replay, ScalarReferenceAndSimdKernelsAreByteIdentical) {
             EXPECT_EQ(kernels.simd_active(), simd_replay_kernels() != nullptr);
             EXPECT_FALSE(reference.simd_active());
             for (const PolicyKind kind : kAllKinds) {
-                for (const int which : {0, 1, 2}) {
+                for (int which = 0; which < kGeneratorCount; ++which) {
                     SCOPED_TRACE("block=" + std::to_string(block) + " " +
                                  policy_kind_name(kind) + "/generator" + std::to_string(which));
                     auto generator_a = make_generator(which, delays.static_period_ps);

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <cmath>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -622,6 +623,9 @@ TEST(SweepSpec, RejectsBadInput) {
     // also when spelled differently (the policy's default parameter, the
     // generator's canonical label, an equal voltage) or split over lines.
     EXPECT_THROW(SweepSpec::parse("kernels = fibcall, fibcall\n"), Error);
+    EXPECT_THROW(SweepSpec::parse("kernels = crc32\nkernels = crc32\n"), Error);
+    EXPECT_EQ(SweepSpec::parse("kernels = crc32\nkernels = fibcall\n").kernels,
+              (std::vector<std::string>{"crc32", "fibcall"}));
     EXPECT_THROW(SweepSpec::parse("policies = lut, lut\n"), Error);
     EXPECT_THROW(SweepSpec::parse("policies = approx-lut, approx-lut:0.9\n"), Error);
     EXPECT_THROW(SweepSpec::parse("policies = lut\npolicies = lut\n"), Error);
