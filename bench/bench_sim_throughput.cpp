@@ -12,7 +12,7 @@
 // offline oracle, the evaluation hot loop (live and trace-replay), a sweep
 // wall-clock comparison of the two evaluation modes at 1/2/4/8 workers,
 // the voltage-axis amortization series (per-voltage delay passes vs
-// one fused unit pass; a 10-voltage replay sweep with its unit-pass
+// one unit pass; a 10-voltage replay sweep with its unit-pass
 // counters), the characterization-axis collapse series (V per-voltage
 // characterizations vs one nominal pass plus V bit-identical
 // DelayTable::scaled views; fused multi-generator replay vs per-variant
@@ -620,7 +620,7 @@ void emit_artifact() {
 
     // Voltage-axis amortization, measured two ways. (a) The delay passes
     // themselves: V reference passes (one per operating point, the pre-v4
-    // cost) against one fused unit pass serving the same V points as
+    // cost) against one unit pass serving the same V points as
     // scalar-multiplied views. (b) A voltage-dense replay sweep (full
     // suite x lut x 10 voltages) whose cache counters prove one pass per
     // kernel; tables are pre-seeded per point via DelayTable::scaled so
@@ -646,7 +646,7 @@ void emit_artifact() {
         }
         const auto t1 = std::chrono::steady_clock::now();
         for (int i = 0; i < kAxisPoints; ++i) {
-            // One fused pass; the per-voltage views are scalar derivations
+            // One unit pass; the per-voltage views are scalar derivations
             // (their cost is the one multiply per cycle already inside the
             // replay kernels). Run it V times so both sides time V pieces
             // of work and the ratio reads directly as the per-axis win.
@@ -919,8 +919,8 @@ void emit_artifact() {
     out += "  \"voltage_axis\": {\n";
     out += "    \"note\": " +
            json_string("voltage-invariant trace delays: (a) delay passes over the recorded "
-                       "coremark trace — 10 per-voltage reference passes vs one fused unit "
-                       "pass whose scaled views serve the same 10 points; (b) a replay sweep "
+                       "coremark trace — 10 per-voltage reference passes vs one unit pass "
+                       "whose scaled views serve the same 10 points; (b) a replay sweep "
                        "of the full suite x lut x 10 voltages with pre-scaled delay tables, "
                        "fresh cache per run, min of 2 — the counters prove one delay-model "
                        "pass per kernel for the whole axis") +

@@ -3,7 +3,7 @@
 //
 //   1. Record the canonical trace of a kernel (one cycle-accurate run).
 //   2. Compute the *voltage-free* unit delay array once per trace (one
-//      fused stage-major pass); every operating point is a ScaledTraceDelays
+//      evaluate_unit per cycle); every operating point is a ScaledTraceDelays
 //      view — the shared array plus one delay-scale scalar.
 //   3. Replay every bundled policy — including the promoted approx-lut and
 //      dual-cycle kinds — against the same trace; each result is

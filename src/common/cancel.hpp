@@ -28,9 +28,21 @@ public:
     /// A token with no deadline: fires only via request_cancel().
     CancellationToken() : state_(std::make_shared<State>()) {}
 
+    /// Longest deadline a token arms: one year, far inside what the steady
+    /// clock's nanosecond ticks hold past now().
+    static constexpr double kMaxDeadlineMs = 365.0 * 24 * 3600 * 1000;
+
+    /// The check of every caller-supplied deadline: positive and at most
+    /// kMaxDeadlineMs (so never NaN or infinite).
+    static bool valid_deadline_ms(double ms) { return ms > 0 && ms <= kMaxDeadlineMs; }
+
     /// A token that fires once `ms` milliseconds of wall clock elapse
-    /// (steady clock; `ms` <= 0 means already expired).
+    /// (steady clock; `ms` <= 0 means already expired). Throws focs::Error
+    /// for NaN or `ms` > kMaxDeadlineMs, whose conversion would overflow.
     static CancellationToken with_deadline_ms(double ms) {
+        if (!(ms <= kMaxDeadlineMs)) {
+            throw Error("deadline must be a number of milliseconds no larger than one year");
+        }
         CancellationToken token;
         token.state_->has_deadline = true;
         token.state_->deadline = std::chrono::steady_clock::now() +

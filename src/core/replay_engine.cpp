@@ -149,10 +149,13 @@ std::vector<DcaRunResult> ReplayEvaluationEngine::run_fused(
     const std::size_t block = static_cast<std::size_t>(options_.block_cycles);
     // One block of requests and one of grants, shared by every stateful
     // variant; clamped to the trace length and never empty, so both stay
-    // dereferenceable on empty traces. They share one allocation: a second
-    // vector per call raised the peak RSS of 4-job sweeps by ~6 MB.
+    // dereferenceable on empty traces. They share one per-thread buffer,
+    // kept at the largest size the thread has needed, so a call allocates
+    // nothing: a 64 KB block per call moved the peak RSS of 4-job sweeps
+    // with the heap's growth pattern.
     const std::size_t length = std::min(block, std::max<std::size_t>(cycles, 1));
-    std::vector<double> buffers(2 * length);
+    thread_local std::vector<double> buffers;
+    if (buffers.size() < 2 * length) buffers.resize(2 * length);
     double* const requested = buffers.data();
     double* const granted = requested + length;
 

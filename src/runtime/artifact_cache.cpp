@@ -72,6 +72,8 @@ ArtifactCache::ArtifactCache(int max_build_attempts)
     }
     nominal_passes_id_ = metrics_.counter("cache.delay_table.nominal_passes");
     scaled_views_id_ = metrics_.counter("cache.delay_table.scaled_views");
+    nominal_build_ms_id_ =
+        metrics_.histogram("cache.delay_table.nominal_build_ms", obs::latency_ms_bounds());
 }
 
 template <typename T>
@@ -188,7 +190,10 @@ void ArtifactCache::evict_over_budget_locked() {
                     evict(tables_, victim);
                 }
                 break;
-            case ArtifactClass::kTrace: evict(traces_, victim); break;
+            case ArtifactClass::kTrace:
+                evicted_trace_cycles_[victim.key] = traces_.at(victim.key).future.get().cycles();
+                evict(traces_, victim);
+                break;
             case ArtifactClass::kUnitDelays: evict(unit_delays_, victim); break;
         }
     }
@@ -309,6 +314,7 @@ std::shared_future<dta::DelayTable> ArtifactCache::delay_table(
                     "analyzer static_period_ps is not supported");
     }
     const std::string key = design_key(design, analyzer_config);
+    const std::string source_key = nominal_key(design, analyzer_config);
     std::promise<dta::DelayTable> promise;
     std::shared_future<dta::DelayTable> future = promise.get_future().share();
     {
@@ -316,6 +322,12 @@ std::shared_future<dta::DelayTable> ArtifactCache::delay_table(
         if (const auto it = tables_.find(key); it != tables_.end()) {
             count_found(ArtifactClass::kDelayTable, it->second.future);
             if (it->second.resident) lru_.splice(lru_.end(), lru_, it->second.lru);
+            // A served view keeps its small source from falling out behind
+            // large traces: a new operating point stays a scaled view.
+            if (const auto source = nominal_tables_.find(source_key);
+                source != nominal_tables_.end() && source->second.resident) {
+                lru_.splice(lru_.end(), lru_, source->second.lru);
+            }
             return it->second.future;
         }
         tables_.emplace(key, Entry<dta::DelayTable>{future});
@@ -391,7 +403,7 @@ std::shared_future<std::shared_ptr<const dta::DelayTable>> ArtifactCache::nomina
             nominal_tables_.erase(it);
         }
     }
-    metrics_.observe(ids(ArtifactClass::kDelayTable).build_ms, ms_since(start));
+    metrics_.observe(nominal_build_ms_id_, ms_since(start));
     return future;
 }
 
@@ -400,6 +412,7 @@ std::shared_future<sim::PipelineTrace> ArtifactCache::trace(
     const std::string key = trace_key(kernel, machine_config);
     std::promise<sim::PipelineTrace> promise;
     std::shared_future<sim::PipelineTrace> future = promise.get_future().share();
+    std::size_t expected_cycles = 0;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         if (const auto it = traces_.find(key); it != traces_.end()) {
@@ -408,6 +421,9 @@ std::shared_future<sim::PipelineTrace> ArtifactCache::trace(
             return it->second.future;
         }
         traces_.emplace(key, Entry<sim::PipelineTrace>{future});
+        if (const auto it = evicted_trace_cycles_.find(key); it != evicted_trace_cycles_.end()) {
+            expected_cycles = static_cast<std::size_t>(it->second);
+        }
     }
     metrics_.add(ids(ArtifactClass::kTrace).miss);
     const auto start = std::chrono::steady_clock::now();
@@ -415,7 +431,7 @@ std::shared_future<sim::PipelineTrace> ArtifactCache::trace(
     span.arg("key", key);
     run_build(ArtifactClass::kTrace, key, traces_, promise, [&] {
         const auto program = this->program(kernel);
-        return sim::record_trace(program.get(), machine_config);
+        return sim::record_trace(program.get(), machine_config, expected_cycles);
     });
     metrics_.observe(ids(ArtifactClass::kTrace).build_ms, ms_since(start));
     return future;

@@ -56,18 +56,21 @@
 //
 // Memory is bounded by an optional byte budget (set_byte_budget; 0 =
 // unbounded, the default). Every completed entry is accounted at its
-// artifact's estimated_bytes() (traces dominate at ~6.7 MB; a Program,
+// artifact's estimated_bytes() (traces dominate at 0.4–12.8 MB; a Program,
 // stored as flat address runs, is ~3 KB) and linked into one global LRU list
-// (lookups touch entries most-recently-used); when the resident total
-// exceeds the budget, least-recently-used entries are evicted until it
-// fits, counted per class in cache.<class>.evicted_lru. In-flight entries
-// (build still running) are pinned — they are not in the LRU list and can
-// never be evicted, preserving the exactly-once builder election. Evicting
-// a ready entry is always safe: consumers hold shared_future copies that
-// keep the value alive, so eviction only drops the *cache's* reference —
-// the next requester of that key re-builds. A single artifact larger than
-// the whole budget is admitted (the build already paid for it) and then
-// evicted as soon as the next entry completes.
+// (lookups touch entries most-recently-used; a served per-voltage table
+// also touches its nominal source); when the resident total exceeds the
+// budget, least-recently-used entries are evicted until it fits, counted
+// per class in cache.<class>.evicted_lru. An evicted trace's re-record
+// reserves its remembered cycle count, so it is charged its exact size.
+// In-flight entries (build still running) are pinned — they are not in the
+// LRU list and can never be evicted, preserving the exactly-once builder
+// election. Evicting a ready entry is always safe: consumers hold
+// shared_future copies that keep the value alive, so eviction only drops
+// the *cache's* reference — the next requester of that key re-builds. A
+// single artifact larger than the whole budget is admitted (the build
+// already paid for it) and then evicted as soon as the next entry
+// completes.
 #pragma once
 
 #include <array>
@@ -170,7 +173,7 @@ public:
     std::shared_future<sim::PipelineTrace> trace(const std::string& kernel,
                                                  const sim::MachineConfig& machine_config = {});
 
-    /// Voltage-free required-period ground truth of one trace: one fused
+    /// Voltage-free required-period ground truth of one trace: one
     /// unit pass per (kernel, design variant, seed, machine config),
     /// keyed *without* the voltage — every operating point on the voltage
     /// axis derives its ScaledTraceDelays view from this shared array
@@ -200,7 +203,7 @@ public:
     /// policy/generator/voltage cells consume the trace.
     std::uint64_t traces_recorded() const;
 
-    /// Fused unit delay passes executed (not cache hits): exactly one per
+    /// Unit delay passes executed (not cache hits): exactly one per
     /// distinct (kernel, design variant, seed, machine config), independent
     /// of how many voltage points consume the array.
     std::uint64_t unit_delay_passes() const;
@@ -331,6 +334,9 @@ private:
     /// prefix; LRU nodes dispatch on it within ArtifactClass::kDelayTable).
     std::map<std::string, Entry<std::shared_ptr<const dta::DelayTable>>> nominal_tables_;
     std::map<std::string, Entry<sim::PipelineTrace>> traces_;
+    /// Cycle count of every trace the LRU evicted, by key: its re-record's
+    /// reserve hint. Written only on eviction.
+    std::map<std::string, std::uint64_t> evicted_trace_cycles_;
     std::map<std::string, Entry<std::shared_ptr<const timing::UnitTraceDelays>>> unit_delays_;
     std::shared_future<std::vector<assembler::Program>> characterization_programs_;
     bool characterization_programs_started_ = false;
@@ -351,9 +357,10 @@ private:
         obs::MetricsRegistry::Id build_failed, retried, evicted, evicted_lru;
     };
     std::array<ClassIds, 4> ids_;
-    /// Delay-table-only counters of the nominal factorization (metric names
-    /// cache.delay_table.{nominal_passes,scaled_views}).
-    obs::MetricsRegistry::Id nominal_passes_id_, scaled_views_id_;
+    /// Delay-table-only metrics of the nominal factorization (names
+    /// cache.delay_table.{nominal_passes,scaled_views,nominal_build_ms}).
+    /// build_ms times each per-voltage build once, a nested flow included.
+    obs::MetricsRegistry::Id nominal_passes_id_, scaled_views_id_, nominal_build_ms_id_;
 
     const ClassIds& ids(ArtifactClass artifact_class) const {
         return ids_[static_cast<std::size_t>(artifact_class)];

@@ -389,7 +389,7 @@ SweepResult SweepEngine::run(const SweepSpec& raw_spec, const SweepRunOptions& o
 
     // Replay evaluation of one (voltage, kernel, policy) column. Record-
     // once / replay-many: the trace is one guest simulation per (kernel,
-    // machine config) and the unit delay array one fused pass per (kernel,
+    // machine config) and the unit delay array one pass per (kernel,
     // variant) — voltage-free, so every operating point derives a
     // ScaledTraceDelays view (one scalar) from the same cache-hot array.
     // Every per-cell isolation point survives — each cell runs its own

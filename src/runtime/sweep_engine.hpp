@@ -31,7 +31,7 @@
 // Two execution modes produce byte-identical cells:
 //  - kReplay (default): record-once / replay-many. Each (kernel, machine
 //    config) is simulated exactly once into a cached PipelineTrace and its
-//    voltage-free unit delay array is computed in one fused pass; every
+//    voltage-free unit delay array is computed in one pass; every
 //    policy x generator x voltage cell over that kernel is then scored by
 //    the batched SoA ReplayEvaluationEngine against a ScaledTraceDelays
 //    view (the shared unit array plus the point's delay scale). A P-policy

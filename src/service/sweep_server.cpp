@@ -58,6 +58,9 @@ SweepServer::SweepServer(ServerConfig config)
     : config_(std::move(config)), cache_(std::make_shared<runtime::ArtifactCache>()) {
     check(config_.max_inflight >= 1, "server max_inflight wants >= 1");
     check(config_.queue_depth >= 0, "server queue_depth wants >= 0");
+    check(config_.deadline_default_ms == 0 ||
+              CancellationToken::valid_deadline_ms(config_.deadline_default_ms),
+          "server deadline_default_ms wants 0 (none) or a deadline of at most one year");
     if (config_.cache_budget_bytes > 0) cache_->set_byte_budget(config_.cache_budget_bytes);
     active_.resize(static_cast<std::size_t>(config_.max_inflight));
 
@@ -264,11 +267,13 @@ void SweepServer::admit_or_shed(int fd, HttpRequest request) {
     if (const std::string* value = request.header("x-focs-deadline-ms")) {
         char* end = nullptr;
         deadline_ms = std::strtod(value->c_str(), &end);
-        if (end == value->c_str() || *end != '\0' || deadline_ms <= 0) {
+        if (end == value->c_str() || *end != '\0' ||
+            !CancellationToken::valid_deadline_ms(deadline_ms)) {
             metrics_.add(ids_.bad_request);
             respond_and_close(
                 fd, {400, {},
-                     error_body("X-Focs-Deadline-Ms wants a positive number, got '" + *value + "'",
+                     error_body("X-Focs-Deadline-Ms wants a positive number of milliseconds, "
+                                "at most one year, got '" + *value + "'",
                                 ErrorCode::kUnknown)});
             return;
         }

@@ -16,10 +16,12 @@ void TraceRecorder::on_cycle(const CycleRecord& record) {
     }
 }
 
-PipelineTrace record_trace(const assembler::Program& program, const MachineConfig& config) {
+PipelineTrace record_trace(const assembler::Program& program, const MachineConfig& config,
+                           std::size_t expected_cycles) {
     Machine machine(config);
     machine.load(program);
     TraceRecorder recorder;
+    recorder.reserve(expected_cycles);
     const RunResult guest = machine.run(&recorder);
     PipelineTrace trace = recorder.take();
     trace.guest = guest;

@@ -44,8 +44,10 @@ struct PipelineTrace {
     std::uint64_t cycles() const { return static_cast<std::uint64_t>(records.size()); }
 
     /// Resident size for cache byte budgeting: the AoS record array plus
-    /// the stage-major SoA key rows (traces dominate the sweep runtime's
-    /// memory, so this is the figure LRU eviction is sized around).
+    /// the stage-major SoA key rows at their capacity: 204 B per cycle at
+    /// exact size, ~274 B after an unsized recording's growth (traces
+    /// dominate the sweep runtime's memory, so LRU eviction is sized
+    /// around this figure).
     std::uint64_t estimated_bytes() const {
         std::uint64_t total = sizeof *this;
         total += static_cast<std::uint64_t>(records.capacity()) * sizeof(CycleRecord);
@@ -75,6 +77,9 @@ private:
 };
 
 /// Records the canonical trace of one program on one machine configuration.
-PipelineTrace record_trace(const assembler::Program& program, const MachineConfig& config = {});
+/// `expected_cycles` (an earlier recording's length) pre-sizes the arrays,
+/// so an exact hint leaves no growth copies; any hint records the same run.
+PipelineTrace record_trace(const assembler::Program& program, const MachineConfig& config = {},
+                           std::size_t expected_cycles = 0);
 
 }  // namespace focs::sim

@@ -32,8 +32,9 @@ int carry_chain_length(std::uint32_t a, std::uint32_t b) {
 /// Effective operand width (position of the highest set bit).
 int bit_width(std::uint32_t v) { return 32 - std::countl_zero(v); }
 
-}  // namespace
-
+/// Operand-driven excitation factor in [0, 1]; 0 excites the family's worst
+/// path. Only the EX stage sees real operand values; other stages use a
+/// neutral 0.5.
 double data_factor(const StageView& view, Stage stage) {
     if (stage != Stage::kEx || !view.valid) return 0.5;
     const std::uint32_t a = view.operand_a;
@@ -64,6 +65,8 @@ double data_factor(const StageView& view, Stage stage) {
     }
     return 0.5;
 }
+
+}  // namespace
 
 int occupancy_class(const StageView& view) {
     if (!view.valid) return kBubbleClass;
@@ -123,23 +126,8 @@ double DelayCalculator::unit_band_delay(const DelayBand& band, const StageView& 
     return band.anchor_ps - band.spread_ps * mix;
 }
 
-double DelayCalculator::band_delay(const DelayBand& band, const StageView& view, Stage stage,
-                                   std::uint64_t cycle) const {
-    return unit_band_delay(band, view, stage, cycle) * voltage_scale_;
-}
-
-namespace {
-
-/// Shared cycle loop of the two evaluators. `delay_of(band, view, stage)`
-/// supplies the per-stage delay in the caller's domain (scaled or unit);
-/// the per-stage max, tie attribution (earliest stage wins) and guard
-/// epsilon therefore apply in that same domain. The 1e-9 ps slack windows
-/// of the two domains differ by < 1e-9·|1 − 1/scale| ps — far below any
-/// modeled margin; the guard only trips on calibration bugs.
-template <typename DelayOf>
-CycleDelays evaluate_cycle(const sim::CycleRecord& record,
-                           const DelayCalculator& calculator, double static_limit_ps,
-                           DelayOf&& delay_of) {
+CycleDelays DelayCalculator::evaluate_cycle(const sim::CycleRecord& record,
+                                            double static_limit_ps, double scale) const {
     CycleDelays out;
     double worst = 0;
     // Hoisted once per cycle instead of per stage; when it holds, the ADR
@@ -151,38 +139,34 @@ CycleDelays evaluate_cycle(const sim::CycleRecord& record,
         const StageView& view = record.stages[static_cast<std::size_t>(s)];
         const DelayBand* band;
         if (s == static_cast<int>(Stage::kAdr) && adr_redirect) {
-            band = &calculator.band(DelayCalculator::kAdrRedirectRow,
-                                    static_cast<int>(isa::timing_family(record.redirect_source)));
+            band = band_lut_[kAdrRedirectRow][static_cast<std::size_t>(
+                isa::timing_family(record.redirect_source))];
         } else {
-            band = &calculator.band(s, occupancy_class(view));
+            band = band_lut_[static_cast<std::size_t>(s)]
+                            [static_cast<std::size_t>(occupancy_class(view))];
         }
-        const double delay = delay_of(*band, view, stage);
+        const double delay = unit_band_delay(*band, view, stage, record.cycle) * scale;
         out.stage_ps[static_cast<std::size_t>(s)] = delay;
         if (delay > worst) worst = delay;
     }
     out.required_period_ps = worst;
     // Not check(): that would build its message string per cycle, and this
-    // runs once per simulated cycle in every characterization flow.
+    // runs once per simulated cycle in every characterization flow and unit
+    // pass. The 1e-9 ps slack windows of the two domains differ by
+    // < 1e-9·|1 − 1/scale| ps, far below any modeled margin; the guard only
+    // trips on calibration bugs.
     if (worst > static_limit_ps + 1e-9) [[unlikely]] {
         throw Error("dynamic delay exceeded the static period");
     }
     return out;
 }
 
-}  // namespace
-
 CycleDelays DelayCalculator::evaluate(const sim::CycleRecord& record) const {
-    return evaluate_cycle(record, *this, static_period_ps_,
-                          [&](const DelayBand& band, const StageView& view, Stage stage) {
-                              return band_delay(band, view, stage, record.cycle);
-                          });
+    return evaluate_cycle(record, static_period_ps_, voltage_scale_);
 }
 
 CycleDelays DelayCalculator::evaluate_unit(const sim::CycleRecord& record) const {
-    return evaluate_cycle(record, *this, params_->static_period_ps,
-                          [&](const DelayBand& band, const StageView& view, Stage stage) {
-                              return unit_band_delay(band, view, stage, record.cycle);
-                          });
+    return evaluate_cycle(record, params_->static_period_ps, 1.0);
 }
 
 }  // namespace focs::timing

@@ -49,9 +49,6 @@ std::string_view occupancy_class_name(int occupancy_class);
 
 class DelayCalculator {
 public:
-    /// Extra band_lut_ row holding the ADR redirect bands.
-    static constexpr int kAdrRedirectRow = sim::kStageCount;
-
     explicit DelayCalculator(const DesignConfig& config,
                              const CellLibrary& library = CellLibrary::fdsoi28());
 
@@ -66,18 +63,6 @@ public:
     /// voltage-invariant trace-delay artifact is built on.
     CycleDelays evaluate_unit(const sim::CycleRecord& record) const;
 
-    /// Unscaled delay of one band for one (stage, cycle) slot: one
-    /// splitmix64 jitter draw mixed with the operand excitation. Exposed for
-    /// the fused stage-major unit kernel in timing/trace_delays.
-    double unit_band_delay(const DelayBand& band, const sim::StageView& view, sim::Stage stage,
-                           std::uint64_t cycle) const;
-
-    /// Band resolved for (row, occupancy class); `row` is a stage index or
-    /// kAdrRedirectRow.
-    const DelayBand& band(int row, int occupancy_class) const {
-        return *band_lut_[static_cast<std::size_t>(row)][static_cast<std::size_t>(occupancy_class)];
-    }
-
     /// The static (STA) clock period of this design at its voltage.
     double static_period_ps() const { return static_period_ps_; }
 
@@ -90,8 +75,20 @@ public:
     double voltage_scale() const { return voltage_scale_; }
 
 private:
-    double band_delay(const DelayBand& band, const sim::StageView& view, sim::Stage stage,
-                      std::uint64_t cycle) const;
+    /// Extra band_lut_ row holding the ADR redirect bands.
+    static constexpr int kAdrRedirectRow = sim::kStageCount;
+
+    /// Shared cycle loop of the two evaluators: every stage's unit delay
+    /// times `scale` (voltage_scale_, or 1.0 for the unit domain, which
+    /// leaves every value exact), the max over stages in stage order, and
+    /// the guard against `static_limit_ps` in that same domain.
+    CycleDelays evaluate_cycle(const sim::CycleRecord& record, double static_limit_ps,
+                               double scale) const;
+
+    /// Unscaled delay of one band for one (stage, cycle) slot: one
+    /// splitmix64 jitter draw mixed with the operand excitation.
+    double unit_band_delay(const DelayBand& band, const sim::StageView& view, sim::Stage stage,
+                           std::uint64_t cycle) const;
 
     DesignConfig config_;
     const TimingParams* params_;
@@ -102,11 +99,5 @@ private:
     /// load. Row kStageCount holds the ADR redirect bands.
     std::array<std::array<const DelayBand*, kOccupancyClasses>, sim::kStageCount + 1> band_lut_{};
 };
-
-/// Operand-driven excitation factor in [0, 1]; 0 excites the family's worst
-/// path. Only the EX stage sees real operand values; other stages use a
-/// neutral 0.5. Shared by the per-cycle calculator and the stage-major unit
-/// trace kernel.
-double data_factor(const sim::StageView& view, sim::Stage stage);
 
 }  // namespace focs::timing

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "isa/isa_info.hpp"
 
 namespace focs::timing {
 
@@ -11,45 +10,12 @@ UnitTraceDelays compute_unit_trace_delays(const DelayCalculator& calculator,
                                           const std::vector<sim::CycleRecord>& records) {
     UnitTraceDelays out;
     out.unit_static_period_ps = calculator.unit_static_period_ps();
-    const std::size_t cycles = records.size();
-    out.unit_required_period_ps.assign(cycles, 0.0);
-
-    // Stage-major fused pass: each row resolves its band and draws its one
-    // splitmix64 jitter sample per cycle, then maxes into the flat array.
-    // The band resolution is the stage-major transpose of the cycle-major
-    // evaluate_unit() loop (delay_model.cpp evaluate_cycle) with the
-    // ADR-redirect test hoisted into the one stage it can apply to. A max
-    // does not depend on the order its operands arrive in, so the transpose
-    // yields the cycle-major loop's value exactly; test_replay asserts the
-    // bit-level equivalence on every cycle.
-    double* required = out.unit_required_period_ps.data();
-    for (int s = 0; s < sim::kStageCount; ++s) {
-        const auto stage = static_cast<sim::Stage>(s);
-        const bool is_adr = stage == sim::Stage::kAdr;
-        for (std::size_t c = 0; c < cycles; ++c) {
-            const sim::CycleRecord& record = records[c];
-            const sim::StageView& view = record.stages[static_cast<std::size_t>(s)];
-            const DelayBand* band;
-            if (is_adr && record.fetch_redirect &&
-                record.redirect_source != isa::Opcode::kInvalid) {
-                band = &calculator.band(
-                    DelayCalculator::kAdrRedirectRow,
-                    static_cast<int>(isa::timing_family(record.redirect_source)));
-            } else {
-                band = &calculator.band(s, occupancy_class(view));
-            }
-            const double delay = calculator.unit_band_delay(*band, view, stage, record.cycle);
-            if (delay > required[c]) required[c] = delay;
-        }
-    }
-
-    // Same guard as the per-cycle evaluators, applied once after the fused
-    // pass (cold path: the calibrated bands always cover their excitation).
-    const double limit = out.unit_static_period_ps + 1e-9;
-    for (std::size_t c = 0; c < cycles; ++c) {
-        if (required[c] > limit) [[unlikely]] {
-            throw Error("dynamic delay exceeded the static period");
-        }
+    out.unit_required_period_ps.reserve(records.size());
+    // One cycle-major pass through the per-record oracle itself: each record
+    // is read once, while its stages are still in cache, and the guard
+    // throws from evaluate_unit on the first cycle that trips it.
+    for (const sim::CycleRecord& record : records) {
+        out.unit_required_period_ps.push_back(calculator.evaluate_unit(record).required_period_ps);
     }
     return out;
 }

@@ -4,16 +4,15 @@
 // per-cycle minimum safe clock period. Live evaluation derives it inside
 // every run (DelayCalculator::evaluate per cycle per cell). For replay the
 // requirement factors: the delay model's voltage dependence is a single
-// multiplicative delay_scale(v) (see DelayCalculator::unit_band_delay), so
+// multiplicative delay_scale(v) (see DelayCalculator::evaluate_unit), so
 // the *unit* (unscaled) requirement is a pure function of (trace, design
-// variant, seed) alone. It is therefore computed exactly once per trace by
-// a fused stage-major pass — one splitmix64 per (stage, cycle), in the
-// style of the batched characterization kernel — and every operating point
-// on the voltage axis is served by a ScaledTraceDelays *view*: the shared
-// unit array plus one scalar. A V-point sweep grid pays ~one delay-model
-// pass instead of V, and keeps one resident double array per trace instead
-// of V copies. Per-record DelayCalculator::evaluate / evaluate_unit stays
-// the oracle the unit pass is tested against.
+// variant, seed) alone. It is therefore computed exactly once per trace,
+// one DelayCalculator::evaluate_unit call per record, and every operating
+// point on the voltage axis is served by a ScaledTraceDelays *view*: the
+// shared unit array plus one scalar. A V-point sweep grid pays ~one
+// delay-model pass instead of V, and keeps one resident double array per
+// trace instead of V copies. Per-record DelayCalculator::evaluate stays the
+// oracle the scaled views are tested against.
 #pragma once
 
 #include <cstdint>
@@ -70,10 +69,11 @@ struct ScaledTraceDelays {
     std::uint64_t cycles() const { return unit != nullptr ? unit->cycles() : 0; }
 };
 
-/// One fused stage-major pass over the trace: for each stage row the band
-/// is resolved and one splitmix64 jitter sample drawn per cycle, maxing the
-/// unit delays in place. Voltage-free — `calculator` contributes only its
-/// variant's bands and the design seed. Call once per (trace, variant).
+/// One pass over the trace: entry c is
+/// calculator.evaluate_unit(records[c]).required_period_ps, and the pass
+/// throws where evaluate_unit does. Voltage-free — `calculator` contributes
+/// only its variant's bands and the design seed. Call once per (trace,
+/// variant).
 UnitTraceDelays compute_unit_trace_delays(const DelayCalculator& calculator,
                                           const std::vector<sim::CycleRecord>& records);
 

@@ -4,6 +4,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <thread>
 
 #include "common/cancel.hpp"
@@ -220,6 +221,23 @@ TEST(CancellationToken, DeadlineExpiresAndReportsReason) {
     EXPECT_FALSE(soon.cancelled());
     soon.request_cancel();
     EXPECT_EQ(soon.reason(), ErrorCode::kCancelled);
+}
+
+TEST(CancellationToken, DeadlineRangeIsCheckedBeforeConversion) {
+    // A deadline beyond the ceiling (or NaN) would overflow the clock
+    // duration it converts to; it is refused, never armed in the past.
+    const double huge[] = {std::numeric_limits<double>::infinity(), 1e300,
+                           CancellationToken::kMaxDeadlineMs * 2, std::nan("")};
+    for (const double ms : huge) {
+        EXPECT_FALSE(CancellationToken::valid_deadline_ms(ms)) << ms;
+        EXPECT_THROW(CancellationToken::with_deadline_ms(ms), Error) << ms;
+    }
+    EXPECT_FALSE(CancellationToken::valid_deadline_ms(0));
+    EXPECT_FALSE(CancellationToken::valid_deadline_ms(-5));
+    EXPECT_TRUE(CancellationToken::valid_deadline_ms(CancellationToken::kMaxDeadlineMs));
+    const CancellationToken longest =
+        CancellationToken::with_deadline_ms(CancellationToken::kMaxDeadlineMs);
+    EXPECT_FALSE(longest.cancelled());
 }
 
 TEST(FaultInjector, DisarmedByDefaultAndAfterEmptySpec) {

@@ -2,7 +2,7 @@
 // to a live DcaEngine::run of the same cell — for every bundled PolicyKind,
 // every clock-generator family, and at every replay block size (including
 // odd boundaries). The voltage-invariance contract is tested explicitly:
-// one fused unit delay pass per trace must serve every operating point
+// one unit delay pass per trace must serve every operating point
 // bit-identically to per-record DelayCalculator::evaluate.
 #include <gtest/gtest.h>
 
@@ -22,6 +22,7 @@
 #include "timing/cell_library.hpp"
 #include "timing/trace_delays.hpp"
 #include "workloads/kernel.hpp"
+#include "test_util.hpp"
 
 namespace focs::core {
 namespace {
@@ -254,9 +255,26 @@ TEST(TraceRecorder, CapturesGuestMetadataAndKeys) {
     }
 }
 
+TEST(TraceRecorder, ExpectedCyclesHintNeverChangesTheTrace) {
+    // The hint only pre-sizes the arrays: a missing, exact, short or long
+    // hint records the same run, and an exact one leaves no spare capacity.
+    const ReplayFixture& f = fixture();
+    const std::size_t cycles = f.trace.records.size();
+    for (const std::size_t hint : {std::size_t{0}, cycles, cycles / 2, 2 * cycles}) {
+        SCOPED_TRACE("hint=" + std::to_string(hint));
+        const sim::PipelineTrace trace = sim::record_trace(f.program, {}, hint);
+        EXPECT_EQ(test::trace_difference(trace, f.trace), "");
+        if (hint == cycles) {
+            EXPECT_EQ(trace.records.capacity(), cycles);
+            for (const auto& row : trace.stage_keys) EXPECT_EQ(row.capacity(), cycles);
+        }
+    }
+}
+
 TEST(TraceDelays, UnitPassMatchesPerCycleUnitEvaluation) {
-    // The fused stage-major kernel must reproduce the per-cycle
-    // evaluate_unit() exactly, on every cycle of the trace.
+    // The unit pass must reproduce the per-cycle evaluate_unit() exactly,
+    // on every cycle of the trace (the guard against a transposed
+    // stage-major kernel that walks every record once per stage).
     const ReplayFixture& f = fixture();
     const timing::DelayCalculator calculator(f.design);
     ASSERT_EQ(f.unit->cycles(), f.trace.cycles());

@@ -4,6 +4,7 @@
 // cache poison recovery, deadlines), JSON round-trips, and spec parsing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <memory>
@@ -20,6 +21,7 @@
 #include "runtime/sweep_engine.hpp"
 #include "runtime/sweep_spec.hpp"
 #include "workloads/kernel.hpp"
+#include "test_util.hpp"
 
 namespace focs::runtime {
 namespace {
@@ -128,7 +130,7 @@ TEST(SweepEngine, DenseVoltageGridPaysOneUnitDelayPassPerKernel) {
     EXPECT_EQ(result.characterizations, 0u);
     EXPECT_EQ(result.guest_simulations, spec.kernels.size());
     // 10 voltages x 2 policies x 2 kernels = 40 unit-delay requests, but
-    // only one fused pass per kernel; the other 38 are view derivations.
+    // only one unit pass per kernel; the other 38 are view derivations.
     EXPECT_EQ(result.unit_delay_passes, spec.kernels.size());
     EXPECT_EQ(result.unit_delay_reuses, result.cells.size() - spec.kernels.size());
     EXPECT_EQ(cache->unit_delay_passes(), spec.kernels.size());
@@ -687,6 +689,28 @@ TEST(ArtifactCache, RejectsStaticPeriodOverride) {
     EXPECT_EQ(cache.nominal_passes(), 0u);
 }
 
+TEST(ArtifactCache, NominalFlowIsTimedInItsOwnHistogram) {
+    // build_ms times each per-voltage build once, a nested nominal flow
+    // included (as the trace's includes its program); the flow itself lands
+    // in nominal_build_ms alone, so no flow is counted twice.
+    ArtifactCache cache;
+    const dta::AnalyzerConfig analyzer_config =
+        SweepEngine::analyzer_config_for(SweepSpec{}.resolved());
+    const auto samples = [&](const char* name) -> std::uint64_t {
+        const obs::MetricsSnapshot snapshot = cache.metrics_snapshot();
+        const obs::MetricsSnapshot::Histogram* histogram = snapshot.find_histogram(name);
+        return histogram == nullptr ? 0 : histogram->count;
+    };
+    timing::DesignConfig design;
+    cache.delay_table(design, analyzer_config).get();
+    EXPECT_EQ(samples("cache.delay_table.build_ms"), 1u);
+    EXPECT_EQ(samples("cache.delay_table.nominal_build_ms"), 1u);
+    design.voltage_v = 0.8;
+    cache.delay_table(design, analyzer_config).get();
+    EXPECT_EQ(samples("cache.delay_table.build_ms"), 2u);
+    EXPECT_EQ(samples("cache.delay_table.nominal_build_ms"), 1u);
+}
+
 TEST(ArtifactCache, ProgramsAreSharedAndCounted) {
     ArtifactCache cache;
     const auto first = cache.program("crc32");
@@ -860,6 +884,71 @@ TEST(ArtifactCacheLru, EvictedCounterRoundTripsThroughMetricsSnapshot) {
     const obs::MetricsSnapshot snapshot = cache.metrics_snapshot();
     EXPECT_EQ(snapshot.counter_value("cache.program.evicted_lru"), stats.evicted_lru);
     EXPECT_EQ(snapshot.counter_value("cache.trace.evicted_lru"), 0u);
+}
+
+TEST(ArtifactCacheLru, NominalTableOutlivesTraceChurnWhileItsViewsAreServed) {
+    // Under a budget of about one trace, three kernels' traces churn
+    // through the LRU while two per-voltage tables keep being served. Each
+    // served view refreshes its ~7 KB nominal source, so a third operating
+    // point is one more scaled view, not a second characterization.
+    const std::vector<std::string> kernels = {"crc32", "fibcall", "bitcount"};
+    std::uint64_t largest = 0;
+    {
+        ArtifactCache sizing;
+        for (const auto& kernel : kernels) {
+            const std::uint64_t before = sizing.cached_bytes();
+            sizing.trace(kernel).get();
+            largest = std::max(largest, sizing.cached_bytes() - before);
+        }
+    }
+    ArtifactCache cache;
+    cache.set_byte_budget(largest + 256 * 1024);
+    const dta::AnalyzerConfig analyzer_config =
+        SweepEngine::analyzer_config_for(SweepSpec{}.resolved());
+    const auto table_at = [&](double voltage) {
+        timing::DesignConfig design;
+        design.voltage_v = voltage;
+        cache.delay_table(design, analyzer_config).get();
+    };
+    table_at(0.6);
+    table_at(0.8);
+    for (int round = 0; round < 3; ++round) {
+        for (const auto& kernel : kernels) {
+            cache.trace(kernel).get();
+            table_at(0.6);
+            table_at(0.8);
+        }
+    }
+    EXPECT_GT(cache.build_stats(ArtifactClass::kTrace).evicted_lru, 0u);
+    table_at(0.75);
+    EXPECT_EQ(cache.nominal_passes(), 1u);
+    EXPECT_EQ(cache.scaled_views(), 3u);
+    EXPECT_EQ(cache.class_counters(ArtifactClass::kDelayTable).miss, 3u);
+}
+
+TEST(ArtifactCacheLru, ReRecordedTraceIsExactlySizedAndIdentical) {
+    // An evicted trace leaves its cycle count behind, and its re-record
+    // reserves exactly that: no growth copies, charged its real size, and
+    // the same run as the first recording.
+    ArtifactCache cache;
+    const auto first = cache.trace("crc32");
+    first.get();
+    cache.set_byte_budget(1);        // evicts the program; the newest entry stays
+    cache.program("fibcall").get();  // the next completion evicts the trace
+    ASSERT_EQ(cache.build_stats(ArtifactClass::kTrace).evicted_lru, 1u);
+    cache.set_byte_budget(0);
+    const auto again = cache.trace("crc32");
+    const sim::PipelineTrace& rebuilt = again.get();
+    EXPECT_EQ(cache.traces_recorded(), 2u);
+
+    const std::size_t cycles = rebuilt.records.size();
+    EXPECT_EQ(rebuilt.records.capacity(), cycles);
+    for (const auto& row : rebuilt.stage_keys) EXPECT_EQ(row.capacity(), cycles);
+    EXPECT_EQ(rebuilt.estimated_bytes(),
+              sizeof(sim::PipelineTrace) +
+                  cycles * (sizeof(sim::CycleRecord) + sim::kStageCount * sizeof(dta::OccKey)));
+    EXPECT_LT(rebuilt.estimated_bytes(), first.get().estimated_bytes());
+    EXPECT_EQ(test::trace_difference(rebuilt, first.get()), "");
 }
 
 TEST(ArtifactCacheLru, PreseededTableReplacementKeepsAccountingStable) {

@@ -173,13 +173,16 @@ TEST(SweepService, RejectsMalformedRequests) {
             EXPECT_NE(duplicate.body.find("duplicate"), std::string::npos) << body;
         }
 
-        // Malformed deadline header -> 400 before admission.
-        HttpRequest bad_deadline;
-        bad_deadline.method = "POST";
-        bad_deadline.target = "/sweep";
-        bad_deadline.body = kSmallSpec;
-        bad_deadline.headers["X-Focs-Deadline-Ms"] = "-5";
-        EXPECT_EQ(http_request(server.port(), bad_deadline).status, 400);
+        // Malformed deadline header -> 400 before admission. A non-finite
+        // or out-of-range one is refused too, never armed in the past.
+        for (const char* deadline : {"-5", "inf", "1e300", "nan"}) {
+            HttpRequest bad_deadline;
+            bad_deadline.method = "POST";
+            bad_deadline.target = "/sweep";
+            bad_deadline.body = kSmallSpec;
+            bad_deadline.headers["X-Focs-Deadline-Ms"] = deadline;
+            EXPECT_EQ(http_request(server.port(), bad_deadline).status, 400) << deadline;
+        }
 
         // Unknown target -> 404; wrong method -> 405.
         HttpRequest unknown;
@@ -192,7 +195,7 @@ TEST(SweepService, RejectsMalformedRequests) {
         EXPECT_EQ(http_request(server.port(), wrong_method).status, 405);
 
         const ServerStats stats = server.stats();
-        EXPECT_EQ(stats.bad_request, 10u);
+        EXPECT_EQ(stats.bad_request, 13u);
         EXPECT_EQ(stats.served(), 0u);
     });
 }

@@ -257,6 +257,35 @@ void obs_emit(const std::vector<std::string>& args, const runtime::ArtifactCache
     }
 }
 
+/// Parses a strictly positive number flag; one-line error otherwise.
+double parse_positive_double(const std::vector<std::string>& args, const char* name,
+                             double fallback) {
+    const auto text = flag_value(args, name);
+    if (!text) return fallback;
+    std::size_t pos = 0;
+    double value = 0;
+    try {
+        value = std::stod(*text, &pos);
+    } catch (const std::exception&) {
+        pos = 0;
+    }
+    if (pos == 0 || pos != text->size() || !(value > 0)) {
+        throw Error(std::string(name) + " wants a positive number");
+    }
+    return value;
+}
+
+/// Parses a deadline flag in milliseconds; 0 when absent. Refuses what
+/// CancellationToken::valid_deadline_ms refuses (NaN, the infinities and
+/// anything beyond one year) instead of arming a token that fires at once.
+double parse_deadline_ms(const std::vector<std::string>& args, const char* name) {
+    const double ms = parse_positive_double(args, name, 0);
+    if (ms > 0 && !CancellationToken::valid_deadline_ms(ms)) {
+        throw Error(std::string(name) + " wants a finite number of milliseconds, at most one year");
+    }
+    return ms;
+}
+
 /// Parses the fault-tolerance flags shared by suite and sweep. `deadline`
 /// (caller-scoped so the token outlives the run) receives the
 /// --deadline-ms token; --fault arms the process-global injector before
@@ -267,18 +296,8 @@ runtime::SweepRunOptions parse_run_options(const std::vector<std::string>& args,
     if (flag_present(args, "--fail-fast")) {
         options.failure_mode = runtime::FailureMode::kFailFast;
     }
-    if (const auto ms = flag_value(args, "--deadline-ms")) {
-        double value = 0;
-        try {
-            std::size_t pos = 0;
-            value = std::stod(*ms, &pos);
-            check(pos == ms->size() && value > 0, "--deadline-ms wants a positive number");
-        } catch (const Error&) {
-            throw;
-        } catch (const std::exception&) {
-            throw Error("--deadline-ms wants a positive number");
-        }
-        deadline = CancellationToken::with_deadline_ms(value);
+    if (const double ms = parse_deadline_ms(args, "--deadline-ms"); ms > 0) {
+        deadline = CancellationToken::with_deadline_ms(ms);
         options.cancel = &*deadline;
     }
     if (const auto spec = flag_value(args, "--fault")) {
@@ -587,33 +606,22 @@ int parse_bounded_int(const std::vector<std::string>& args, const char* name, in
     return static_cast<int>(*value);
 }
 
-/// Parses a strictly positive number flag; one-line error otherwise.
-double parse_positive_double(const std::vector<std::string>& args, const char* name,
-                             double fallback) {
-    const auto text = flag_value(args, name);
-    if (!text) return fallback;
-    try {
-        std::size_t pos = 0;
-        const double value = std::stod(*text, &pos);
-        check(pos == text->size() && value > 0,
-              std::string(name) + " wants a positive number");
-        return value;
-    } catch (const Error&) {
-        throw;
-    } catch (const std::exception&) {
-        throw Error(std::string(name) + " wants a positive number");
-    }
-}
-
 int cmd_serve(const std::vector<std::string>& args) {
     obs_enable(args);
     service::ServerConfig config;
     config.port = parse_bounded_int(args, "--port", 8790, 0, 65535);
     config.max_inflight = parse_bounded_int(args, "--max-inflight", 2, 1, 256);
     config.queue_depth = parse_bounded_int(args, "--queue-depth", 8, 0, 4096);
-    config.deadline_default_ms = parse_positive_double(args, "--deadline-default-ms", 0);
-    const double budget_mb = parse_positive_double(args, "--cache-budget-mb", 0);
-    config.cache_budget_bytes = static_cast<std::uint64_t>(budget_mb * 1024.0 * 1024.0);
+    config.deadline_default_ms = parse_deadline_ms(args, "--deadline-default-ms");
+    if (const double mb = parse_positive_double(args, "--cache-budget-mb", 0); mb > 0) {
+        // A budget of 0 bytes means unbounded, so a given budget must come
+        // to at least one byte, and fit the byte counter.
+        const double bytes = mb * 1024 * 1024;
+        if (!(bytes >= 1 && bytes < 0x1p64)) {
+            throw Error("--cache-budget-mb wants a finite size of at least one byte");
+        }
+        config.cache_budget_bytes = static_cast<std::uint64_t>(bytes);
+    }
     config.jobs = parse_jobs(args);
     if (const auto spec = flag_value(args, "--fault")) fault::global_injector().configure(*spec);
 
@@ -692,7 +700,7 @@ int cmd_client(const std::vector<std::string>& args) {
     options.requests = parse_bounded_int(args, "-n", 1, 1, 100000);
     options.concurrency =
         parse_bounded_int(args, "--concurrency", std::min(options.requests, 8), 1, 256);
-    options.deadline_ms = parse_positive_double(args, "--deadline-ms", 0);
+    options.deadline_ms = parse_deadline_ms(args, "--deadline-ms");
     options.canonical = flag_present(args, "--canonical");
 
     const service::LoadReport report = service::run_load(options);
